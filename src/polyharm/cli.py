@@ -3,15 +3,13 @@
 Subcommands: validate, distance, energy, solve, check, example.  Exit
 codes: 0 success / true verdict, 2 false verdict, 1 error (diagnostic on
 stderr), 64 usage error.  Reports are JSON, deterministic for identical
-inputs and seed; POLYHARM_THREADS caps BLAS parallelism (computations are
-otherwise sequential and deterministic).
+inputs and seed.  A solve that does not converge also prints the length
+and the last entries of its residual history.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -20,7 +18,7 @@ import numpy as np
 from . import energy as energy_mod
 from . import examples as gallery
 from . import fileio, harmonic, morphism, target as target_mod
-from .errors import PolyharmError, UsageError
+from .errors import NonConvergence, PolyharmError, UsageError
 from .riemannian import (PiecewiseMetric, intrinsic_distance, point_on,
                          vertex_address)
 
@@ -42,14 +40,11 @@ class RunConfig:
     damping: float = 0.7
     seed: int = 42
     output_format: str = "json"
-    threads: int = 1
 
     def validated(self):
         for name in ("tol_c", "tol_h", "tol_geom"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
-        if self.threads < 1:
-            raise UsageError("POLYHARM_THREADS must be >= 1")
         return self
 
 
@@ -58,21 +53,13 @@ def load_config(path=None) -> RunConfig:
     if path:
         try:
             with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                data = fileio.load_finite_json(fh)
+        except (OSError, ValueError) as exc:
             raise UsageError(f"{path}: cannot read config ({exc})")
         for key, val in data.items():
             if not hasattr(cfg, key):
                 raise UsageError(f"{path}: unknown config key {key!r}")
             setattr(cfg, key, val)
-    env_threads = os.environ.get("POLYHARM_THREADS")
-    if env_threads:
-        try:
-            cfg.threads = int(env_threads)
-        except ValueError:
-            raise UsageError(f"POLYHARM_THREADS={env_threads!r} is not an integer")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-            os.environ.setdefault(var, str(cfg.threads))
     return cfg.validated()
 
 
@@ -378,6 +365,10 @@ def dispatch(argv) -> int:
         return EXIT_USAGE
     except PolyharmError as exc:
         print(f"polyharm: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, NonConvergence):
+            last = ", ".join(f"{h:.6g}" for h in exc.history[-3:])
+            print(f"polyharm: residual history: {len(exc.history)} "
+                  f"iterations, last [{last}]", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -9,6 +9,7 @@ byte-for-byte for identical inputs.  Numbers are serialized with repr
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -22,14 +23,35 @@ def _fail(path, what):
     raise UsageError(f"{path}: {what}")
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows to {value}")
+    return value
+
+
+def load_finite_json(fh):
+    """``json.load`` that raises ValueError on NaN and +-Infinity (which
+    Python's json accepts but JSON does not have) and on numbers that
+    overflow to infinity."""
+    return json.load(fh, parse_constant=_reject_constant,
+                     parse_float=_finite_float)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return load_finite_json(fh)
     except FileNotFoundError:
         _fail(path, "file not found")
     except json.JSONDecodeError as exc:
         _fail(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}")
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def load_mesh(path) -> SimplicialComplex:
@@ -100,11 +122,16 @@ def load_plmap(path, complex_) -> PLMap:
     vals = data.get("values")
     if vals is None:
         _fail(path, "missing field 'values'")
-    if len(vals) != len(complex_.vertices):
-        _fail(path, f"{len(vals)} value rows for {len(complex_.vertices)} vertices")
+    try:
+        rows = np.array(vals, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.ndim != 2:
+        _fail(path, "'values' must be a list of equal-length rows of numbers")
+    if len(rows) != len(complex_.vertices):
+        _fail(path, f"{len(rows)} value rows for {len(complex_.vertices)} vertices")
     order = sorted(complex_.vertices)
-    return PLMap(complex_, {v: np.asarray(vals[i], dtype=float)
-                            for i, v in enumerate(order)})
+    return PLMap(complex_, {v: rows[i] for i, v in enumerate(order)})
 
 
 def plmap_payload(plmap: PLMap) -> dict:

@@ -10,8 +10,9 @@ vertex p and every chart component k,
 Stiffness entries are exact for constant-per-simplex metrics; the
 Christoffel load uses the barycenter value of Gamma o phi times the
 per-simplex constant gradient pairing.  Assembly iterates simplices in
-index order with a deterministic reduction; solves are single threaded.
-Systems are immutable once assembled.
+index order with a deterministic reduction and caches the per-simplex
+geometry the load needs; solves are single threaded.  Systems are
+immutable once assembled (lazy caches aside).
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ def hat_gradients(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StiffnessSystem:
-    """Assembled hat-basis Dirichlet form of a Riemannian complex."""
+    """Assembled hat-basis Dirichlet form of a Riemannian complex.
+
+    Per-simplex geometry is cached in simplex order: ``tops`` (T x n+1)
+    holds the positions in ``vertex_order`` of each top simplex's sorted
+    vertices, ``vol`` (T,) the simplex volumes and ``ginv`` (T x n x n)
+    the inverse metrics at the barycenters.
+    """
 
     complex: SimplicialComplex
     metric: PiecewiseMetric
@@ -48,6 +55,9 @@ class StiffnessSystem:
     S: csr_matrix = field(repr=False)
     masses: np.ndarray = field(repr=False)   # integral of hat_p dmu_g
     boundary: frozenset = field(repr=False)
+    tops: np.ndarray = field(repr=False)
+    vol: np.ndarray = field(repr=False)
+    ginv: np.ndarray = field(repr=False)
 
     @property
     def index(self):
@@ -60,6 +70,19 @@ class StiffnessSystem:
     @property
     def interior_mask(self) -> np.ndarray:
         return np.array([v not in self.boundary for v in self.vertex_order])
+
+    @property
+    def interior_lu(self):
+        """LU factors of the interior block S_II (complexes with boundary).
+
+        Raises RuntimeError when S_II is singular; failures are not cached.
+        """
+        cache = self.__dict__.get("_interior_lu_cache")
+        if cache is None:
+            idx = np.where(self.interior_mask)[0]
+            cache = splu(self.S[np.ix_(idx, idx)].tocsc())
+            object.__setattr__(self, "_interior_lu_cache", cache)
+        return cache
 
     def values_to_array(self, plmap: PLMap) -> np.ndarray:
         return np.stack([plmap.values[v] for v in self.vertex_order])
@@ -82,25 +105,36 @@ def assemble_stiffness(complex_: SimplicialComplex,
     idx = {v: i for i, v in enumerate(order)}
     hats = hat_gradients(n)
 
+    num_tops = len(complex_.top_simplices)
+    tops = np.empty((num_tops, n + 1), dtype=np.intp)
+    vols = np.empty(num_tops)
+    ginv = np.empty((num_tops, n, n))
     rows, cols, vals = [], [], []
     masses = np.zeros(len(order))
     for s_i, top in enumerate(complex_.top_simplices):
         local = [idx[v] for v in top]
+        tops[s_i] = local
         if metric.mode == "constant":
             g = metric.at(s_i)
             vol = simplex_volume(complex_, metric, s_i)
-            k_local = hats @ np.linalg.solve(g, hats.T) * vol
+            g_hats = np.linalg.solve(g, hats.T)  # columns 1..n are g^-1
+            ginv[s_i] = g_hats[:, 1:]
+            k_local = hats @ g_hats * vol
             m_local = np.full(n + 1, vol / (n + 1))
         else:
             pts, wts = simplex_rule(n, max(metric.quadrature_order, 2))
             k_local = np.zeros((n + 1, n + 1))
             m_local = np.zeros(n + 1)
+            vol = 0.0  # the sum simplex_volume takes, in the same order
             for xi, w in zip(pts, wts):
                 g = metric.at(s_i, xi)
                 dv = w * math.sqrt(np.linalg.det(g))
+                vol += dv
                 k_local += hats @ np.linalg.solve(g, hats.T) * dv
                 lam = np.concatenate([[1.0 - xi.sum()], xi])
                 m_local += lam * dv
+            ginv[s_i] = np.linalg.inv(metric.at(s_i))
+        vols[s_i] = vol
         for a in range(n + 1):
             masses[local[a]] += m_local[a]
             for b in range(n + 1):
@@ -117,6 +151,9 @@ def assemble_stiffness(complex_: SimplicialComplex,
         S=S,
         masses=masses,
         boundary=complex_.boundary_vertices(),
+        tops=tops,
+        vol=vols,
+        ginv=ginv,
     )
 
 
@@ -129,25 +166,36 @@ def christoffel_load(system: StiffnessSystem, target, plmap: PLMap) -> np.ndarra
 
     load_k(p) = sum over simplices of
     Gamma^k_ab(phi(bary)) <grad phi^a, grad phi^b> * integral of hat_p.
+
+    Gamma is evaluated image by image in simplex order, so the first
+    simplex whose barycenter image leaves the chart is the one reported.
     """
-    cx = system.complex
-    n = cx.n
-    d = plmap.target_dim
-    out = np.zeros((len(system.vertex_order), d))
-    bary = np.full(n, 1.0 / (n + 1))
-    for s_i, top in enumerate(cx.top_simplices):
-        image = plmap.value_at(s_i, bary)
+    n = system.complex.n
+    corners = system.values_to_array(plmap)[system.tops]    # (T, n+1, d)
+    # rows of d(phi) per simplex, (T, d, n), as PLMap.differential has them
+    diffs = np.ascontiguousarray(
+        (corners[:, 1:] - corners[:, :1]).swapaxes(1, 2))
+    # w0 + d(phi) @ bary rather than a mean: the same rounding as
+    # PLMap.value_at, which finite-difference Christoffel symbols amplify
+    images = corners[:, 0] + diffs @ np.full(n, 1.0 / (n + 1))
+    pairing = np.einsum("tai,tij,tbj->tab", diffs, system.ginv, diffs)
+    gammas = np.empty(images.shape + pairing.shape[1:])
+    for s_i, image in enumerate(images):
         if target.chart_contains is not None and not target.chart_contains(image):
             raise ImageLeftChart(f"image {image} outside chart on simplex {s_i}")
-        gamma = target.christoffel(image)
-        rows = plmap.differential(s_i)
-        g = system.metric.at(s_i)
-        q = rows @ np.linalg.solve(g, rows.T)
-        coef = np.einsum("kab,ab->k", gamma, q)
-        vol = simplex_volume(cx, system.metric, s_i)
-        for v in top:
-            out[system.index[v]] += coef * vol / (n + 1)
+        gammas[s_i] = target.christoffel(image)
+    coef = np.einsum("tkab,tab->tk", gammas, pairing)
+    share = coef * system.vol[:, None] / (n + 1)
+    out = np.zeros((len(system.vertex_order), images.shape[1]))
+    np.add.at(out, system.tops.ravel(), np.repeat(share, n + 1, axis=0))
     return out
+
+
+def _interior_residual(system: StiffnessSystem, u, load) -> np.ndarray:
+    """S u - load with the boundary rows zeroed."""
+    r = system.S @ u - load
+    r[~system.interior_mask] = 0.0
+    return r
 
 
 @dataclass(frozen=True)
@@ -183,24 +231,21 @@ def weak_harmonic_residual(system: StiffnessSystem, target,
         load = np.zeros_like(u)
     else:
         load = christoffel_load(system, target, plmap)
-    r = system.S @ u - load
-    interior = system.interior_mask
-    r[~interior] = 0.0
+    r = _interior_residual(system, u, load)
 
     dual = 0.0
-    idx = np.where(interior)[0]
+    idx = np.where(system.interior_mask)[0]
     if idx.size:
-        s_ii = system.S[np.ix_(idx, idx)].tocsc()
         rhs = r[idx]
         try:
             if system.complex.is_closed:
                 # singular (constants in kernel): minimum-norm least squares
+                s_ii = system.S[np.ix_(idx, idx)].tocsc()
                 sol = np.stack([lsmr(s_ii, rhs[:, k], atol=1e-14,
                                      btol=1e-14)[0]
                                 for k in range(rhs.shape[1])], axis=1)
             else:
-                lu = splu(s_ii)
-                sol = lu.solve(rhs)
+                sol = system.interior_lu.solve(rhs)
             dual = float(np.sqrt(max(np.sum(rhs * sol), 0.0)))
         except RuntimeError:
             dual = float("nan")
@@ -330,9 +375,10 @@ def solve_harmonic_map(system: StiffnessSystem, target, boundary_values,
     except RuntimeError as exc:
         raise SingularSystem(str(exc))
 
+    pinned_rhs = s_ib @ vals[pinned] if pinned.size else 0.0
     # start from the flat harmonic extension
     u = vals.copy()
-    u[free] = lu.solve(-s_ib @ vals[pinned]) if pinned.size else 0.0
+    u[free] = lu.solve(-pinned_rhs) if pinned.size else 0.0
 
     def plmap_of(arr):
         return PLMap(system.complex,
@@ -343,18 +389,17 @@ def solve_harmonic_map(system: StiffnessSystem, target, boundary_values,
     best = None
     for _ in range(opts.max_iter):
         pm = plmap_of(u)
-        res = weak_harmonic_residual(system, target, pm)
-        history.append(res.inf)
-        if res.inf <= opts.tol:
+        load = christoffel_load(system, target, pm)
+        inf = float(np.abs(_interior_residual(system, u, load)).max())
+        history.append(inf)
+        if inf <= opts.tol:
             return pm
-        if best is not None and res.inf > best * (1.0 + 1e-12):
+        if best is not None and inf > best * (1.0 + 1e-12):
             damping = max(damping * 0.5, 1e-3)
         else:
-            best = res.inf if best is None else min(best, res.inf)
-        load = christoffel_load(system, target, pm)
-        rhs = load[free] - (s_ib @ vals[pinned] if pinned.size else 0.0)
+            best = inf if best is None else min(best, inf)
         u_new = u.copy()
-        u_new[free] = lu.solve(rhs)
+        u_new[free] = lu.solve(load[free] - pinned_rhs)
         u = (1.0 - damping) * u + damping * u_new
         u[pinned] = vals[pinned]
     raise NonConvergence(

@@ -237,7 +237,6 @@ def refine(complex_: SimplicialComplex, metric: PiecewiseMetric = None,
 
     fine_metric = None
     if metric is not None:
-        order = {tuple(sorted(t)): i for i, t in enumerate(tris)}
         arrays = [None] * len(fine.top_simplices)
         for raw, (pidx, ref) in zip(tris, parents):
             t = tuple(sorted(raw))
@@ -253,14 +252,3 @@ def refine(complex_: SimplicialComplex, metric: PiecewiseMetric = None,
             vals[m] = 0.5 * (pm.values[a] + pm.values[b])
         fine_maps.append(PLMap(fine, vals))
     return fine, fine_metric, tuple(fine_maps)
-
-
-def refine_many(complex_, metric, plmap, times):
-    """Apply ``refine`` repeatedly; returns lists indexed by level 0..times."""
-    cs, ms, ps = [complex_], [metric], [plmap]
-    for _ in range(times):
-        c2, m2, maps = refine(cs[-1], ms[-1], (ps[-1],) if ps[-1] else ())
-        cs.append(c2)
-        ms.append(m2)
-        ps.append(maps[0] if maps else None)
-    return cs, ms, ps

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -201,3 +202,52 @@ def test_pullback_csv_table(square_files, tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("level,")
     assert len(lines) == 3  # header + 2 levels
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_json_is_usage_error(square_files, capsys, literal):
+    c, mesh, map_path, tmp = square_files
+    bad_map = tmp / "nan_map.json"
+    rows = ["[0.0, 0.0]"] * len(c.vertices)
+    rows[0] = f"[{literal}, 0.0]"
+    bad_map.write_text('{"values": [%s]}' % ", ".join(rows))
+    code, _, err = run(capsys, "energy", mesh, str(bad_map))
+    assert code == 64
+    assert "nan_map.json" in err
+    cfg = tmp / "cfg.json"
+    cfg.write_text('{"damping": %s}' % literal)
+    code, _, err = run(capsys, "--config", str(cfg), "validate", mesh)
+    assert code == 64
+    assert "cfg.json" in err
+
+
+@pytest.mark.parametrize("values", [{"0": [0.0, 0.0]}, [[0.0, 0.0], [1.0]],
+                                    [0.0, 1.0], [["x", 0.0]]])
+def test_malformed_map_values_is_usage_error(square_files, capsys, values):
+    c, mesh, _, tmp = square_files
+    bad_map = tmp / "bad_values.json"
+    if isinstance(values, list):
+        values = values + [[0.0, 0.0]] * (len(c.vertices) - len(values))
+    json.dump({"values": values}, open(bad_map, "w"))
+    code, _, err = run(capsys, "energy", mesh, str(bad_map))
+    assert code == 64
+    assert "equal-length rows" in err
+
+
+def test_nonconvergence_prints_residual_history(square_files, capsys):
+    c, mesh, _, tmp = square_files
+    bv = {str(v): [0.5 * np.cos(7 * c.vertices[v][0]),
+                   0.5 * np.sin(5 * c.vertices[v][1])]
+          for v in c.boundary_vertices()}
+    bpath = tmp / "b.json"
+    json.dump(bv, open(bpath, "w"))
+    cfg = tmp / "cfg.json"
+    json.dump({"max_iter": 2, "tol_h": 1e-300}, open(cfg, "w"))
+    code, out, err = run(capsys, "--config", str(cfg), "solve", mesh,
+                         str(bpath), "--target", "cp1")
+    assert code == 1
+    assert out == ""
+    assert "NonConvergence" in err
+    tail = re.search(r"residual history: 2 iterations, last \[(.*)\]", err)
+    assert tail is not None
+    assert len([float(h) for h in tail.group(1).split(",")]) == 2
