@@ -34,31 +34,31 @@ class RunConfig:
 
     tol_c: float = 1e-8
     tol_h: float = 1e-8
-    tol_geom: float = 1e-8
-    quadrature_order: int = 2
     max_iter: int = 200
     damping: float = 0.7
     seed: int = 42
-    output_format: str = "json"
 
     def validated(self):
-        for name in ("tol_c", "tol_h", "tol_geom"):
+        for name in ("tol_c", "tol_h"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
+        if self.max_iter < 1:
+            raise UsageError("max_iter must be at least 1")
         return self
 
 
 def load_config(path=None) -> RunConfig:
     cfg = RunConfig()
     if path:
-        try:
-            with open(path) as fh:
-                data = fileio.load_finite_json(fh)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"{path}: cannot read config ({exc})")
-        for key, val in data.items():
+        for key, val in fileio.load_json(path).items():
             if not hasattr(cfg, key):
                 raise UsageError(f"{path}: unknown config key {key!r}")
+            kind = type(getattr(cfg, key))
+            # an int is a valid float; a bool is not a number here
+            if isinstance(val, bool) or not isinstance(
+                    val, (kind, int) if kind is float else kind):
+                raise UsageError(f"{path}: config key {key!r} must be "
+                                 f"{kind.__name__}, got {val!r}")
             setattr(cfg, key, val)
     return cfg.validated()
 

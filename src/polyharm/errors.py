@@ -122,5 +122,9 @@ class UnknownSpec(PolyharmError):
 
 # -- CLI --------------------------------------------------------------------
 
+class NonFiniteReport(PolyharmError):
+    """A report holds NaN or an infinity, which JSON cannot represent."""
+
+
 class UsageError(PolyharmError):
     """Bad command line or malformed input file."""

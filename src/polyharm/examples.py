@@ -25,7 +25,8 @@ from .meshes import flat_torus, rectangle_mesh
 from .morphism import GradientSample, commutator_form_residual, phwc_residual
 from .riemannian import PiecewiseMetric
 from .simplicial import SimplicialComplex
-from .target import flat_target, to_complex
+from .target import (_central_diff, _cr_terms, _poly_grad, _poly_value,
+                     flat_target, to_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +78,11 @@ class HomogeneousPolynomial:
         return sum(next(iter(self.coeffs)))
 
     def __call__(self, z) -> complex:
-        z = np.asarray(z, dtype=complex)
-        return sum(c * np.prod(z ** np.array(e)) for e, c in self.coeffs.items())
+        return _poly_value(self.coeffs.items(), np.asarray(z, dtype=complex))
 
     def grad(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        g = np.zeros(self.m, dtype=complex)
-        for e, c in self.coeffs.items():
-            for a in range(self.m):
-                if e[a] == 0:
-                    continue
-                ee = np.array(e)
-                ee[a] -= 1
-                g[a] += c * e[a] * np.prod(z ** ee)
-        return g
+        return _poly_grad(self.coeffs.items(), self.m,
+                          np.asarray(z, dtype=complex))
 
     def conjugated(self) -> "HomogeneousPolynomial":
         """Polynomial with conjugated coefficients."""
@@ -203,14 +195,8 @@ class EtaMap:
 
     def fd_jacobian(self, pt, step=1e-6) -> np.ndarray:
         pt = np.asarray(pt, dtype=float)
-        cols = []
-        for j in range(2 * (self.k + self.s)):
-            h = step * max(1.0, abs(pt[j]))
-            pp, pm = pt.copy(), pt.copy()
-            pp[j] += h
-            pm[j] -= h
-            cols.append((self.value_real(pp) - self.value_real(pm)) / (2 * h))
-        return np.stack(cols, axis=1)
+        steps = [step * max(1.0, abs(x)) for x in pt]
+        return np.ascontiguousarray(_central_diff(self.value_real, pt, steps).T)
 
 
 def build_eta(k, s, r, F, G, P, Q, name="eta") -> EtaMap:
@@ -374,23 +360,9 @@ def _cr_residual_split(map_like, pt, step=1e-6):
     pt = np.asarray(pt, dtype=float)
     m = pt.shape[0] // 2
     k = getattr(map_like, "k", m)
-    cr_u, cr_all, anti_all = 0.0, 0.0, 0.0
-    for j in range(m):
-        hp = np.zeros(2 * m)
-        hp[j] = step
-        vp = np.zeros(2 * m)
-        vp[m + j] = step
-        dx = (map_like.value_real(pt + hp) - map_like.value_real(pt - hp)) / (2 * step)
-        dy = (map_like.value_real(pt + vp) - map_like.value_real(pt - vp)) / (2 * step)
-        r = map_like.r
-        for i in range(r):
-            cr = (abs(dx[i] - dy[r + i]) + abs(dy[i] + dx[r + i]))
-            anti = (abs(dx[i] + dy[r + i]) + abs(dy[i] - dx[r + i]))
-            cr_all = max(cr_all, cr)
-            anti_all = max(anti_all, anti)
-            if j < k:
-                cr_u = max(cr_u, cr)
-    return cr_u, cr_all, anti_all
+    d = to_complex(_central_diff(map_like.value_real, pt, [step] * (2 * m)))
+    cr, anti = _cr_terms(d[:m], d[m:])
+    return cr[:k].max(), cr.max(), anti.max()
 
 
 @dataclass(frozen=True)

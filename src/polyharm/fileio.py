@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NonFiniteReport, UsageError
 from .maps import PLMap
 from .riemannian import PiecewiseMetric
 from .simplicial import SimplicialComplex, build_complex
@@ -34,28 +34,31 @@ def _finite_float(text):
     return value
 
 
-def load_finite_json(fh):
-    """``json.load`` that raises ValueError on NaN and +-Infinity (which
-    Python's json accepts but JSON does not have) and on numbers that
-    overflow to infinity."""
-    return json.load(fh, parse_constant=_reject_constant,
-                     parse_float=_finite_float)
-
-
-def _load_json(path):
+def load_json(path, kind=dict):
+    """Parse a JSON input file whose top level must be a ``kind`` (dict or
+    list).  NaN and +-Infinity (which Python's json accepts but JSON does
+    not have) and numbers that overflow to infinity are refused.  Every
+    failure is a UsageError naming the file."""
     try:
         with open(path) as fh:
-            return load_finite_json(fh)
+            data = json.load(fh, parse_constant=_reject_constant,
+                             parse_float=_finite_float)
     except FileNotFoundError:
         _fail(path, "file not found")
+    except OSError as exc:
+        _fail(path, f"cannot read ({exc.strerror or exc})")
     except json.JSONDecodeError as exc:
         _fail(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}")
     except ValueError as exc:
         _fail(path, str(exc))
+    if not isinstance(data, kind):
+        _fail(path, f"expected a JSON {'object' if kind is dict else 'list'} "
+                    f"at the top level, got {type(data).__name__}")
+    return data
 
 
 def load_mesh(path) -> SimplicialComplex:
-    data = _load_json(path)
+    data = load_json(path)
     for key in ("dimension", "vertices", "simplices"):
         if key not in data:
             _fail(path, f"missing field {key!r}")
@@ -89,7 +92,7 @@ def save_mesh(complex_, path):
 
 
 def load_metric(path, complex_) -> PiecewiseMetric:
-    data = _load_json(path)
+    data = load_json(path)
     mode = data.get("mode", "constant")
     if mode == "smooth":
         _fail(path, "smooth metrics are constructed programmatically; "
@@ -118,7 +121,7 @@ def metric_payload(metric: PiecewiseMetric) -> dict:
 
 
 def load_plmap(path, complex_) -> PLMap:
-    data = _load_json(path)
+    data = load_json(path)
     vals = data.get("values")
     if vals is None:
         _fail(path, "missing field 'values'")
@@ -151,9 +154,7 @@ def load_function_family(path):
     """
     from .target import polynomial
 
-    data = _load_json(path)
-    if not isinstance(data, list):
-        _fail(path, "expected a list of polynomial entries")
+    data = load_json(path, list)
     out = []
     for i, entry in enumerate(data):
         try:
@@ -189,7 +190,7 @@ def write_csv_table(columns: dict, path) -> str:
 
 
 def load_boundary(path) -> dict:
-    data = _load_json(path)
+    data = load_json(path)
     out = {}
     for key, val in data.items():
         try:
@@ -201,9 +202,19 @@ def load_boundary(path) -> dict:
 
 
 def write_report(obj, path=None) -> str:
-    """Serialize a report deterministically; returns the text."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Serialize a report deterministically; returns the text.
+
+    Raises NonFiniteReport when a value is NaN or infinite (JSON has no
+    such numbers) and UsageError when ``path`` cannot be written.
+    """
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteReport(f"report cannot be written as JSON: {exc}")
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(path, f"cannot write ({exc.strerror or exc})")
     return text

@@ -314,6 +314,19 @@ def _split(system, boundary_values, d=None):
     return pin_mask, vals, d
 
 
+def _free_lu(system, free):
+    """LU factors of the block of S on the ``free`` (boolean mask)
+    vertices: the cached ``interior_lu`` when the free vertices are
+    exactly the interior ones, a fresh factorization otherwise."""
+    try:
+        if np.array_equal(free, system.interior_mask):
+            return system.interior_lu
+        idx = np.where(free)[0]
+        return splu(system.S[np.ix_(idx, idx)].tocsc())
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc))
+
+
 def solve_harmonic_function(system: StiffnessSystem, boundary_values) -> PLMap:
     """Dirichlet solve with the flat (component-wise) Dirichlet form.
 
@@ -325,14 +338,8 @@ def solve_harmonic_function(system: StiffnessSystem, boundary_values) -> PLMap:
     u = vals.copy()
     free = ~pin_mask
     if free.any() and pin_mask.any():
-        s_ii = system.S[np.ix_(np.where(free)[0], np.where(free)[0])].tocsc()
         s_ib = system.S[np.ix_(np.where(free)[0], np.where(pin_mask)[0])]
-        rhs = -s_ib @ vals[pin_mask]
-        try:
-            lu = splu(s_ii)
-            sol = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise SingularSystem(str(exc))
+        sol = _free_lu(system, free).solve(-s_ib @ vals[pin_mask])
         if not np.all(np.isfinite(sol)):
             raise SingularSystem("solution contains non-finite entries")
         u[free] = sol
@@ -368,13 +375,8 @@ def solve_harmonic_map(system: StiffnessSystem, target, boundary_values,
                       {v: vals[i] for i, v in enumerate(system.vertex_order)})
         return plmap
 
-    s_ii = system.S[np.ix_(free, free)].tocsc()
     s_ib = system.S[np.ix_(free, pinned)]
-    try:
-        lu = splu(s_ii)
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc))
-
+    lu = _free_lu(system, ~pin_mask)
     pinned_rhs = s_ib @ vals[pinned] if pinned.size else 0.0
     # start from the flat harmonic extension
     u = vals.copy()

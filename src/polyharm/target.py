@@ -103,53 +103,50 @@ class ChartedTarget:
         """Finite-difference metric compatibility:
         d_c h_ab - Gamma^k_ca h_kb - Gamma^k_cb h_ak ~ 0."""
         p = np.asarray(p, dtype=float)
-        m = 2 * self.n
         gamma = self.christoffel(p)
         h = self.metric_at(p)
+        dh = _central_diff(self.metric_at, p, [step] * p.shape[0])
         worst = 0.0
-        for c in range(m):
-            pp, pm = p.copy(), p.copy()
-            pp[c] += step
-            pm[c] -= step
-            dh = (self.metric_at(pp) - self.metric_at(pm)) / (2 * step)
+        for c in range(2 * self.n):
             contraction = (np.einsum("ka,kb->ab", gamma[:, c, :], h)
                            + np.einsum("kb,ak->ab", gamma[:, c, :], h))
-            worst = max(worst, float(np.abs(dh - contraction).max()))
+            worst = max(worst, float(np.abs(dh[c] - contraction).max()))
         return worst
 
     def kahler_form_residual(self, p, step=1e-4) -> float:
         """Sampled closedness of the Kahler form omega(U,V) = h(JU, V):
         max component of d(omega) at p by central differences."""
         p = np.asarray(p, dtype=float)
-        m = 2 * self.n
 
         def omega(q):
-            h = self.metric_at(q)
-            return self.J.T @ h  # omega_ab = h(J e_a, e_b)
+            return self.J.T @ self.metric_at(q)  # omega_ab = h(J e_a, e_b)
 
-        domega = np.empty((m, m, m))
-        for c in range(m):
-            pp, pm = p.copy(), p.copy()
-            pp[c] += step
-            pm[c] -= step
-            domega[c] = (omega(pp) - omega(pm)) / (2 * step)
+        domega = _central_diff(omega, p, [step] * p.shape[0])
         worst = 0.0
-        for a, b, c in combinations(range(m), 3):
+        for a, b, c in combinations(range(2 * self.n), 3):
             val = domega[a][b, c] + domega[b][c, a] + domega[c][a, b]
             worst = max(worst, abs(val))
         return worst
+
+
+def _central_diff(f, p, steps) -> np.ndarray:
+    """First derivatives of f at the array p by central differences,
+    (f(p + h_j e_j) - f(p - h_j e_j)) / (2 h_j) with h_j = steps[j],
+    stacked on axis 0 (one entry per step)."""
+    out = []
+    for j, h in enumerate(steps):
+        pp, pm = p.copy(), p.copy()
+        pp[j] += h
+        pm[j] -= h
+        out.append((f(pp) - f(pm)) / (2 * h))
+    return np.stack(out)
 
 
 def christoffel_fd(metric_at, p, step=1e-6) -> np.ndarray:
     """Levi-Civita symbols by central differences of the metric."""
     p = np.asarray(p, dtype=float)
     m = p.shape[0]
-    dh = np.empty((m, m, m))
-    for c in range(m):
-        pp, pm = p.copy(), p.copy()
-        pp[c] += step
-        pm[c] -= step
-        dh[c] = (metric_at(pp) - metric_at(pm)) / (2 * step)
+    dh = _central_diff(metric_at, p, [step] * m)
     hinv = np.linalg.inv(metric_at(p))
     gamma = np.empty((m, m, m))
     for a in range(m):
@@ -237,13 +234,8 @@ class HolomorphicFunction:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if self.dz is not None:
             return np.atleast_1d(np.asarray(self.dz(z), dtype=complex))
-        out = np.empty(self.n, dtype=complex)
-        for a in range(self.n):
-            h = self.fd_step * max(1.0, abs(z[a]))
-            e = np.zeros(self.n, dtype=complex)
-            e[a] = h
-            out[a] = (self(z + e) - self(z - e)) / (2 * h)
-        return out
+        return _central_diff(
+            self, z, [self.fd_step * max(1.0, abs(za)) for za in z])
 
     # -- real form --------------------------------------------------------
 
@@ -297,22 +289,26 @@ def i_product(n, a, b) -> HolomorphicFunction:
 def polynomial(n, coeffs, name="poly") -> HolomorphicFunction:
     """Polynomial sum_c coeffs[c] * z^c with c an exponent tuple."""
     items = [(tuple(c), complex(v)) for c, v in coeffs.items()]
+    return HolomorphicFunction(n, lambda z: _poly_value(items, z),
+                               lambda z: _poly_grad(items, n, z), name=name)
 
-    def fn(z):
-        return sum(v * np.prod(z ** np.array(c)) for c, v in items)
 
-    def dz(z):
-        g = np.zeros(n, dtype=complex)
-        for c, v in items:
-            for a in range(n):
-                if c[a] == 0:
-                    continue
-                cc = np.array(c)
-                cc[a] -= 1
-                g[a] += v * c[a] * np.prod(z ** cc)
-        return g
+def _poly_value(items, z):
+    """sum of v * z^c over the (exponent tuple c, coefficient v) items."""
+    return sum(v * np.prod(z ** np.array(c)) for c, v in items)
 
-    return HolomorphicFunction(n, fn, dz, name=name)
+
+def _poly_grad(items, n, z) -> np.ndarray:
+    """Complex gradient (d/dz_1 .. d/dz_n) of _poly_value(items, z)."""
+    g = np.zeros(n, dtype=complex)
+    for c, v in items:
+        for a in range(n):
+            if c[a] == 0:
+                continue
+            cc = np.array(c)
+            cc[a] -= 1
+            g[a] += v * c[a] * np.prod(z ** cc)
+    return g
 
 
 def rational(num: HolomorphicFunction, den: HolomorphicFunction,
@@ -381,33 +377,38 @@ def cauchy_riemann_residual(f, point, step=1e-5) -> float:
     n-vector; derivatives are central finite differences of the values,
     so anti-holomorphic candidates are handled honestly.
     """
-    z = np.atleast_1d(np.asarray(point, dtype=complex))
-    worst = 0.0
-    for a in range(z.shape[0]):
-        e = np.zeros_like(z)
-        e[a] = step
-        fxp, fxm = complex(f(z + e)), complex(f(z - e))
-        fyp, fym = complex(f(z + 1j * e)), complex(f(z - 1j * e))
-        if not all(np.isfinite([fxp, fxm, fyp, fym])):
-            raise PoleAtPoint(f"function not finite near {z}")
-        dx = (fxp - fxm) / (2 * step)
-        dy = (fyp - fym) / (2 * step)
-        worst = max(worst, abs(dx.real - dy.imag) + abs(dy.real + dx.imag))
-    return worst
+    return float(_cr_terms(*_xy_derivatives(f, point, step))[0].max())
 
 
 def anti_cauchy_riemann_residual(f, point, step=1e-5) -> float:
     """Residual of the conjugate CR system; vanishes for
     anti-holomorphic functions."""
+    return float(_cr_terms(*_xy_derivatives(f, point, step))[1].max())
+
+
+def _xy_derivatives(f, point, step):
+    """Central differences (d/dx_A f, d/dy_A f), A = 1..n, of a complex
+    function of a complex n-vector, taken on the real form
+    q = (x_1..x_n, y_1..y_n); raises PoleAtPoint on a non-finite value."""
     z = np.atleast_1d(np.asarray(point, dtype=complex))
-    worst = 0.0
-    for a in range(z.shape[0]):
-        e = np.zeros_like(z)
-        e[a] = step
-        dx = (complex(f(z + e)) - complex(f(z - e))) / (2 * step)
-        dy = (complex(f(z + 1j * e)) - complex(f(z - 1j * e))) / (2 * step)
-        worst = max(worst, abs(dx.real + dy.imag) + abs(dy.real - dx.imag))
-    return worst
+    n = z.shape[0]
+
+    def value(q):
+        w = complex(f(q[:n] + 1j * q[n:]))
+        if not np.isfinite(w):
+            raise PoleAtPoint(f"function not finite near {z}")
+        return w
+
+    d = _central_diff(value, np.concatenate([z.real, z.imag]),
+                      [step] * (2 * n))
+    return d[:n], d[n:]
+
+
+def _cr_terms(dx, dy):
+    """Cauchy-Riemann and anti-Cauchy-Riemann terms, entrywise, of complex
+    values with derivatives dx along x_A and dy along y_A."""
+    return (np.abs(dx.real - dy.imag) + np.abs(dy.real + dx.imag),
+            np.abs(dx.real + dy.imag) + np.abs(dy.real - dx.imag))
 
 
 def kahler_symmetry_residual(f, point, step=1e-4) -> float:

@@ -6,7 +6,7 @@ import pytest
 
 from polyharm import fileio, meshes
 from polyharm.cli import dispatch
-from polyharm.errors import UsageError
+from polyharm.errors import NonFiniteReport, UsageError
 from polyharm.maps import PLMap
 
 
@@ -251,3 +251,77 @@ def test_nonconvergence_prints_residual_history(square_files, capsys):
     tail = re.search(r"residual history: 2 iterations, last \[(.*)\]", err)
     assert tail is not None
     assert len([float(h) for h in tail.group(1).split(",")]) == 2
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "validate_directory", "config_list", "boundary_list", "map_list",
+    "metric_list", "mesh_number", "config_tol_c_string",
+    "config_max_iter_string", "config_max_iter_float", "config_seed_bool",
+    "config_max_iter_zero"])
+def test_bad_input_file_is_usage_error(square_files, capsys, case):
+    c, mesh, map_path, tmp = square_files
+    bv = {str(v): [0.0, 0.0] for v in c.boundary_vertices()}
+    boundary = _write(tmp / "b.json", json.dumps(bv))
+    config = {"config_tol_c_string": '{"tol_c": "x"}',
+              "config_max_iter_string": '{"max_iter": "abc"}',
+              "config_max_iter_float": '{"max_iter": 2.5}',
+              "config_seed_bool": '{"seed": true}',
+              "config_max_iter_zero": '{"max_iter": 0}',
+              "config_list": "[1, 2]"}
+    if case == "validate_directory":
+        argv = ["validate", str(tmp)]
+    elif case in config:
+        cfg = _write(tmp / "cfg.json", config[case])
+        argv = ["--config", cfg, "solve", mesh, boundary, "--target", "cp1"]
+    elif case == "boundary_list":
+        argv = ["solve", mesh, _write(tmp / "bl.json", "[1, 2]")]
+    elif case == "map_list":
+        argv = ["energy", mesh, _write(tmp / "ml.json", "[[0.0, 0.0]]")]
+    elif case == "metric_list":
+        argv = ["energy", mesh, map_path, "--metric",
+                _write(tmp / "gl.json", "[[1, 0, 0, 1]]")]
+    else:
+        argv = ["validate", _write(tmp / "five.json", "5")]
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("key, value", [("tol_geom", 1e-8),
+                                        ("quadrature_order", 2),
+                                        ("output_format", "json")])
+def test_removed_config_keys_are_unknown(square_files, capsys, key, value):
+    _, mesh, _, tmp = square_files
+    cfg = _write(tmp / "cfg.json", json.dumps({key: value}))
+    code, _, err = run(capsys, "--config", cfg, "validate", mesh)
+    assert code == 64
+    assert "unknown config key" in err
+
+
+def test_non_finite_report_value_is_an_error(square_files, capsys):
+    c, mesh, _, tmp = square_files
+    rows = [[0.0, 0.0]] * len(c.vertices)
+    rows[0] = [1e200, 0.0]   # finite input, infinite energy
+    big = _write(tmp / "big.json", json.dumps({"values": rows}))
+    code, out, err = run(capsys, "energy", mesh, big)
+    assert code == 1
+    assert out == ""
+    assert "NonFiniteReport" in err
+
+
+def test_write_report_refuses_nan():
+    with pytest.raises(NonFiniteReport):
+        fileio.write_report({"dual_energy": float("nan")})
+
+
+def test_output_to_directory_is_usage_error(square_files, capsys):
+    _, mesh, _, tmp = square_files
+    code, _, err = run(capsys, "--output", str(tmp), "validate", mesh)
+    assert code == 64
+    assert "cannot write" in err

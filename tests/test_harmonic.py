@@ -273,3 +273,33 @@ def test_image_left_chart_detected():
         christoffel_load(s, disk, pm)
     with pytest.raises(ImageLeftChart):
         weak_harmonic_residual(s, disk, pm)
+
+
+def test_boundary_data_solves_share_the_interior_lu(monkeypatch):
+    from polyharm import harmonic
+    calls = []
+    real_splu = harmonic.splu
+    monkeypatch.setattr(harmonic, "splu",
+                        lambda a: calls.append(a.shape) or real_splu(a))
+    c, m = meshes.unit_square_mesh(4)
+    s = assemble_stiffness(c, m)
+    fs = fubini_study_cp1()
+    bv = square_boundary_values(c, lambda p: 0.2 * np.array([p[0], p[1]]))
+    for _ in range(2):
+        weak_harmonic_residual(s, fs, solve_harmonic_map(s, fs, bv))
+    solve_harmonic_function(s, bv)
+    assert calls == [(9, 9)]
+
+
+def test_pinned_interior_vertex_factors_the_free_block():
+    c, m = meshes.unit_square_mesh(4)
+    s = assemble_stiffness(c, m)
+    inner = min(set(c.vertices) - c.boundary_vertices())
+    bv = square_boundary_values(c, lambda p: np.array([p[0] ** 2, p[1]]))
+    bv[inner] = np.array([5.0, -1.0])
+    sol = solve_harmonic_function(s, bv)
+    assert np.array_equal(sol.values[inner], [5.0, -1.0])
+    free = np.array([v not in bv for v in s.vertex_order])
+    r = s.S @ s.values_to_array(sol)
+    assert np.abs(r[free]).max() < 1e-12
+    assert s.__dict__.get("_interior_lu_cache") is None

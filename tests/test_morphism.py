@@ -348,3 +348,13 @@ def test_covering_section_is_right_inverse():
     cov = build_covering("torus_cover", k=3)
     for b, t in cov.section.items():
         assert cov.vertex_map[t] == b
+
+
+@pytest.mark.parametrize("report", [
+    lambda: phwc_residual([]),
+    lambda: hwc_residual([], FLAT1),
+    lambda: commutator_form_residual([], FLAT1),
+    lambda: phwc_via_functions([], holomorphic_family(1))])
+def test_every_residual_report_needs_samples(report):
+    with pytest.raises(DimensionMismatch):
+        report()
