@@ -183,7 +183,9 @@ def cmd_check(args, cfg) -> int:
     n = plmap.target_dim // 2
     tgt = _target_by_name(args.target) if args.target else \
         target_mod.flat_target(n)
-    samples = morphism.samples_from_plmap(complex_, metric, plmap)
+    # phm and factor build the samples they check themselves
+    samples = (None if args.mode in ("phm", "factor")
+               else morphism.samples_from_plmap(complex_, metric, plmap))
     report = {"command": "check", "mode": args.mode}
 
     def family():

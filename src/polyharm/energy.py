@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BallLeavesSimplex, NonpositiveEpsilon, PoleAtPoint
-from .maps import PLMap, compose_gradients
-from .riemannian import PiecewiseMetric, simplex_rule, simplex_volume
+from .maps import PLMap, _checked_jacobian
+from .riemannian import PiecewiseMetric, simplex_rule
 
 
 def unit_ball_volume(m: int) -> float:
@@ -61,14 +61,6 @@ class EnergyReport:
         }
 
 
-def _density_at(rows, ginv, h=None):
-    """Target-weighted gradient pairing sum_ab h_ab <grad a, grad b>."""
-    q = rows @ ginv @ rows.T
-    if h is None:
-        return float(np.trace(q))
-    return float(np.sum(h * q))
-
-
 def dirichlet_energy(complex_, metric: PiecewiseMetric, plmap: PLMap,
                      target=None, normalization="gradient_squared",
                      order=None) -> EnergyReport:
@@ -78,6 +70,10 @@ def dirichlet_energy(complex_, metric: PiecewiseMetric, plmap: PLMap,
     on each simplex is sum_ab h_ab(phi(q)) <grad phi^a, grad phi^b> at the
     quadrature points q (barycenter for constant data; an order-2 rule
     when the metric is smooth or the target curved).
+
+    All simplices and quadrature points are one (T, q) batch: the target
+    metric is evaluated once over all T * q images, in simplex order; a
+    smooth metric's evaluators are called point by point.
     """
     n = complex_.n
     cm = ks_normalization(n)
@@ -87,27 +83,30 @@ def dirichlet_energy(complex_, metric: PiecewiseMetric, plmap: PLMap,
         order = 2 if smooth else 1
     pts, wts = simplex_rule(n, order)
 
-    densities = []
-    contributions = []
-    for idx in range(len(complex_.top_simplices)):
-        rows = plmap.differential(idx)
-        contrib = 0.0
-        vol = 0.0
-        for xi, w in zip(pts, wts):
-            g = metric.at(idx, xi if metric.mode == "smooth" else None)
-            ginv = np.linalg.inv(g)
-            h = None
-            if target is not None:
-                h = target.metric_at(plmap.value_at(idx, xi))
-            dens = _density_at(rows, ginv, h)
-            dv = w * math.sqrt(np.linalg.det(g))
-            contrib += dens * dv
-            vol += dv
-        densities.append(contrib / vol)
-        contributions.append(contrib)
+    idx = np.arange(len(complex_.top_simplices))
+    rows = plmap.differential(idx)[:, None]                  # (T, 1, d, n)
+    if metric.mode == "smooth":
+        g = np.array([[metric.at(i, xi) for xi in pts]
+                      for i in idx.tolist()])                 # (T, q, n, n)
+    else:
+        g = metric.stack[:, None]                             # (T, 1, n, n)
+    q = rows @ np.linalg.inv(g) @ rows.swapaxes(-1, -2)
+    if target is None:
+        dens = np.trace(q, axis1=-2, axis2=-1)
+    else:
+        images = np.stack([plmap.value_at(idx, xi) for xi in pts], axis=1)
+        h = target.metric_at(images.reshape(-1, images.shape[-1]))
+        dens = np.einsum("tqab,tqab->tq",
+                         h.reshape(images.shape + images.shape[-1:]), q)
+    dv = wts * np.sqrt(np.linalg.det(g))                      # (T, q)
+    dens = np.broadcast_to(dens, dv.shape)
+    contributions = np.zeros(len(idx))
+    volumes = np.zeros(len(idx))
+    for k in range(len(wts)):  # the quadrature sum in point order
+        contributions += dens[:, k] * dv[:, k]
+        volumes += dv[:, k]
+    densities = contributions / volumes
 
-    densities = np.asarray(densities)
-    contributions = np.asarray(contributions)
     if normalization == "ks_raw":
         densities = cm * densities
         contributions = cm * contributions
@@ -189,24 +188,21 @@ def composite_energy_bound_check(complex_, metric, plmap, hol) -> CompositeBound
     chart metric.  ``holds`` allows a 1e-9 relative slack.
     """
     base = dirichlet_energy(complex_, metric, plmap)
-    lam = 0.0
-    lhs = 0.0
-    for idx in range(len(complex_.top_simplices)):
-        bary = np.full(complex_.n, 1.0 / (complex_.n + 1))
-        image = plmap.value_at(idx, bary)
-        rows = plmap.differential(idx)
-        composed = compose_gradients(hol, rows, image)
-        if not np.all(np.isfinite(composed)):
-            raise PoleAtPoint(f"composition not finite on simplex {idx}")
-        g = metric.at(idx)
-        ginv = np.linalg.inv(g)
-        dens = _density_at(composed, ginv)
-        lhs += dens * simplex_volume(complex_, metric, idx)
-        if hasattr(hol, "real_jacobian"):
-            jac = hol.real_jacobian(image)
-        else:
-            jac = hol.jacobian_at(image)
-        lam = max(lam, float(np.linalg.norm(jac, 2)))
+    n = complex_.n
+    idx = np.arange(len(complex_.top_simplices))
+    rows = plmap.differential(idx)
+    images = plmap.value_at(idx, np.full(n, 1.0 / (n + 1)))
+    jacs = np.stack([_checked_jacobian(hol, image, rows.shape[1])
+                     for image in images])
+    composed = jacs @ rows
+    bad = ~np.isfinite(composed).all(axis=(1, 2))
+    if bad.any():
+        raise PoleAtPoint(
+            f"composition not finite on simplex {int(np.argmax(bad))}")
+    dens = np.trace(composed @ np.linalg.inv(metric.stack)
+                    @ composed.swapaxes(1, 2), axis1=1, axis2=2)
+    lhs = sum((dens * metric.volumes).tolist())  # in simplex order
+    lam = max(0.0, float(np.linalg.norm(jacs, 2, axis=(1, 2)).max()))
     rhs = lam ** 2 * base.total
     return CompositeBound(float(lhs), float(rhs), lam,
                           bool(lhs <= rhs * (1.0 + 1e-9) + 1e-15))

@@ -127,4 +127,4 @@ class NonFiniteReport(PolyharmError):
 
 
 class UsageError(PolyharmError):
-    """Bad command line or malformed input file."""
+    """Bad command line, malformed input file or invalid option value."""

@@ -57,12 +57,34 @@ def load_json(path, kind=dict):
     return data
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_row(x, item=_is_number) -> bool:
+    """A JSON list whose entries all pass ``item``."""
+    return isinstance(x, list) and all(item(e) for e in x)
+
+
 def load_mesh(path) -> SimplicialComplex:
     data = load_json(path)
     for key in ("dimension", "vertices", "simplices"):
         if key not in data:
             _fail(path, f"missing field {key!r}")
+    if not _is_int(data["dimension"]):
+        _fail(path, "'dimension' must be an integer")
     verts = data["vertices"]
+    if (not isinstance(verts, list) or not all(map(_is_row, verts))
+            or len({len(row) for row in verts}) > 1):
+        _fail(path, "'vertices' must be a list of equal-length rows of "
+                    "numbers")
+    if not _is_row(data["simplices"], lambda t: _is_row(t, _is_int)):
+        _fail(path, "'simplices' must be a list of lists of vertex ids "
+                    "(integers)")
     simps = [tuple(s) for s in data["simplices"]]
     complex_ = build_complex(verts, simps)
     if complex_.n != data["dimension"]:
@@ -102,6 +124,8 @@ def load_metric(path, complex_) -> PiecewiseMetric:
     per = data.get("per_simplex")
     if per is None:
         _fail(path, "missing field 'per_simplex'")
+    if not _is_row(per, _is_row):
+        _fail(path, "'per_simplex' must be a list of lists of numbers")
     n = complex_.n
     arrays = []
     for i, flat in enumerate(per):
@@ -190,6 +214,8 @@ def write_csv_table(columns: dict, path) -> str:
 
 
 def load_boundary(path) -> dict:
+    """Vertex id -> value; every value is a number or a non-empty list of
+    numbers, all of one length (a number counts as length 1)."""
     data = load_json(path)
     out = {}
     for key, val in data.items():
@@ -197,7 +223,14 @@ def load_boundary(path) -> dict:
             v = int(key)
         except ValueError:
             _fail(path, f"boundary keys must be vertex ids, got {key!r}")
+        if not (_is_number(val) or (_is_row(val) and val)):
+            _fail(path, f"boundary value of vertex {key} must be a number "
+                        f"or a non-empty list of numbers, got {val!r}")
         out[v] = np.asarray(val, dtype=float)
+    lengths = {a.size for a in out.values()}
+    if len(lengths) > 1:
+        _fail(path, f"boundary values have different lengths "
+                    f"{sorted(lengths)}")
     return out
 
 

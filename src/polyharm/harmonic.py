@@ -25,7 +25,7 @@ from scipy.sparse import csr_matrix, coo_matrix
 from scipy.sparse.linalg import splu, lsmr
 
 from .errors import (ImageLeftChart, MissingBoundaryValues, NonConvergence,
-                     NotAdmissible, SingularSystem)
+                     NotAdmissible, SingularSystem, UsageError)
 from .maps import PLMap
 from .riemannian import PiecewiseMetric, simplex_rule, simplex_volume
 from .simplicial import SimplicialComplex, check_admissible
@@ -349,9 +349,17 @@ def solve_harmonic_function(system: StiffnessSystem, boundary_values) -> PLMap:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Picard budget, stopping tolerance and initial damping; ``max_iter``
+    must be at least 1."""
+
     max_iter: int = 200
     tol: float = 1e-8
     damping: float = 0.7
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise UsageError(
+                f"max_iter must be at least 1, got {self.max_iter}")
 
 
 def solve_harmonic_map(system: StiffnessSystem, target, boundary_values,

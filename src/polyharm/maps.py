@@ -49,20 +49,29 @@ class PLMap:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _stacks(self):
+        """Read-only (T, d) values at the first vertex of every top simplex
+        and (T, d, n) differentials, built once."""
+        cache = self.__dict__.get("_stack_cache")
+        if cache is None:
+            pos = {v: i for i, v in enumerate(self.values)}
+            vals = np.stack(list(self.values.values()))
+            corners = vals[np.array([[pos[v] for v in t]
+                                     for t in self.complex.top_simplices])]
+            diffs = np.ascontiguousarray(
+                (corners[:, 1:] - corners[:, :1]).swapaxes(1, 2))
+            cache = (np.ascontiguousarray(corners[:, 0]), diffs)
+            for arr in cache:
+                arr.setflags(write=False)
+            object.__setattr__(self, "_stack_cache", cache)
+        return cache
+
     def differential(self, idx) -> np.ndarray:
         """Constant differential on top simplex ``idx``: a
         (target_dim x n) array in reference coordinates whose rows are the
-        component differentials."""
-        cache = self.__dict__.get("_diff_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_diff_cache", cache)
-        if idx not in cache:
-            top = self.complex.top_simplices[idx]
-            w0 = self.values[top[0]]
-            cache[idx] = np.stack(
-                [self.values[v] - w0 for v in top[1:]], axis=1)
-        return cache[idx]
+        component differentials.  An integer index array gives the
+        (len(idx), target_dim, n) stack."""
+        return self._stacks()[1][idx]
 
     def differential_embedding(self, idx) -> np.ndarray:
         """Differential with respect to the ambient euclidean coordinates.
@@ -79,9 +88,11 @@ class PLMap:
         return self.differential(idx) @ np.linalg.inv(edges)
 
     def value_at(self, idx, xi) -> np.ndarray:
-        """Value at reference coordinates xi inside top simplex ``idx``."""
-        top = self.complex.top_simplices[idx]
-        return self.values[top[0]] + self.differential(idx) @ np.asarray(xi, float)
+        """Value at reference coordinates xi inside top simplex ``idx``;
+        an integer index array gives the (len(idx), target_dim) values at
+        the same xi in each of those simplices."""
+        return (self._stacks()[0][idx]
+                + self.differential(idx) @ np.asarray(xi, float))
 
     def value_array(self, vertex_order=None) -> np.ndarray:
         order = vertex_order or sorted(self.complex.vertices)
@@ -165,15 +176,23 @@ def compose_gradients(hol, base_gradients, base_point) -> np.ndarray:
     exact: no discretization is involved.
     """
     base_gradients = np.asarray(base_gradients, dtype=float)
+    return (_checked_jacobian(hol, base_point, base_gradients.shape[0])
+            @ base_gradients)
+
+
+def _checked_jacobian(hol, base_point, base_rows) -> np.ndarray:
+    """The jacobian ``compose_gradients`` multiplies by: ``hol``'s real
+    jacobian at ``base_point``, refused with DimensionMismatch unless it has
+    ``base_rows`` columns and with PoleAtPoint unless it is finite."""
     if hasattr(hol, "real_jacobian"):
         jac = hol.real_jacobian(base_point)
     else:
         jac = hol.jacobian_at(base_point)
     jac = np.asarray(jac, dtype=float)
-    if jac.shape[1] != base_gradients.shape[0]:
+    if jac.shape[1] != base_rows:
         raise DimensionMismatch(
             f"jacobian has {jac.shape[1]} columns, base has "
-            f"{base_gradients.shape[0]} rows")
-    if not np.all(np.isfinite(jac)):
+            f"{base_rows} rows")
+    if not np.isfinite(jac).all():
         raise PoleAtPoint(f"jacobian not finite at {base_point}")
-    return jac @ base_gradients
+    return jac

@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHolomorphic, TargetMetricSingular
 from .harmonic import assemble_stiffness, weak_harmonic_residual
-from .maps import PLMap, compose_gradients
+from .maps import PLMap, _checked_jacobian, compose_gradients
 from .meshes import refine
-from .riemannian import PiecewiseMetric, simplex_volume
+from .riemannian import PiecewiseMetric
 from .target import (ChartedTarget, cauchy_riemann_residual,
                      complex_structure, to_complex)
 
@@ -100,20 +100,23 @@ class GradientSample:
 def samples_from_plmap(complex_, metric: PiecewiseMetric,
                        plmap: PLMap) -> list:
     """One sample per top simplex, evaluated at the barycenter (exhaustive
-    for constant-per-simplex gradients)."""
+    for constant-per-simplex gradients).  Rows, metrics, images, weights
+    and Grams are computed for all simplices at once."""
     if plmap.target_dim % 2 != 0:
         raise DimensionMismatch("chart-valued maps need an even value dimension")
-    bary = np.full(complex_.n, 1.0 / (complex_.n + 1))
+    n = complex_.n
+    idx = np.arange(len(complex_.top_simplices))
+    rows = plmap.differential(idx)
+    metrics = metric.stack
+    images = to_complex(plmap.value_at(idx, np.full(n, 1.0 / (n + 1))))
+    grams = rows @ np.linalg.solve(metrics, rows.swapaxes(1, 2))
+    weights = metric.volumes.tolist()
     out = []
-    for idx in range(len(complex_.top_simplices)):
-        image = to_complex(plmap.value_at(idx, bary))
-        out.append(GradientSample(
-            rows=plmap.differential(idx),
-            metric=metric.at(idx),
-            image=image,
-            location=("simplex", idx),
-            weight=simplex_volume(complex_, metric, idx),
-        ))
+    for t in idx.tolist():
+        s = GradientSample(rows[t], metrics[t], images[t], ("simplex", t),
+                           weights[t])
+        object.__setattr__(s, "_gram", grams[t])
+        out.append(s)
     return out
 
 
@@ -188,33 +191,46 @@ class ResidualReport:
         return out
 
 
-def _phwc_value(q, n):
-    """max_{A,B} |Q_xx - Q_yy| + |Q_yx + Q_xy| entrywise."""
-    qxx = q[:n, :n]
-    qxy = q[:n, n:]
-    qyx = q[n:, :n]
-    qyy = q[n:, n:]
-    return float((np.abs(qxx - qyy) + np.abs(qyx + qxy)).max())
+def _phwc_values(q):
+    """max_{A,B} |Q_xx - Q_yy| + |Q_yx + Q_xy| entrywise, per Gram of a
+    (..., 2n, 2n) stack."""
+    n = q.shape[-1] // 2
+    qxx = q[..., :n, :n]
+    qxy = q[..., :n, n:]
+    qyx = q[..., n:, :n]
+    qyy = q[..., n:, n:]
+    return (np.abs(qxx - qyy) + np.abs(qyx + qxy)).max(axis=(-2, -1))
 
 
-def _residual_report(kind, samples, tol, value, extra=None) -> ResidualReport:
-    """ResidualReport of ``value(s)`` per sample, normalized by ``s.scale``
-    and weighted by ``s.weight``.  With ``extra`` set, ``value`` returns
-    (residual, extra value) and the extra values are reported per sample
+def _stacked(arrays, what):
+    try:
+        return np.stack(list(arrays))
+    except ValueError:
+        raise DimensionMismatch(f"samples have {what} of different shapes")
+
+
+def _residual_report(kind, samples, tol, values, extra=None) -> ResidualReport:
+    """ResidualReport of ``values(grams, points)``, the raw residuals of all
+    samples from their (S, 2n, 2n) Gram stack and (S, 2n) real image
+    points, normalized by the samples' scales max(1, ||dphi||^2) and
+    weighted by their weights.  With ``extra`` set, ``values`` returns
+    (residuals, extra values) and the extra values are reported per sample
     under that name."""
     if not samples:
         raise DimensionMismatch("need at least one sample")
-    vals = [value(s) for s in samples]
+    grams = _stacked((s.gram for s in samples), "gradients")
+    images = _stacked((s.image for s in samples), "images")
+    raw = values(grams, np.concatenate([images.real, images.imag], axis=1))
     extras = {"weights": np.asarray([s.weight for s in samples])}
     if extra is not None:
-        vals, extra_vals = zip(*vals)
-        extras[extra] = np.asarray(extra_vals)
-    raw = np.asarray(vals)
+        raw, extras[extra] = raw
+    diag = np.diagonal(grams, axis1=1, axis2=2)
+    scale = np.fmax(1.0, np.abs(diag).max(axis=1))
     return ResidualReport(
         kind=kind,
         locations=tuple(s.location for s in samples),
         raw=raw,
-        normalized=raw / np.asarray([s.scale for s in samples]),
+        normalized=raw / scale,
         tol=tol,
         extras=extras,
     )
@@ -223,7 +239,7 @@ def _residual_report(kind, samples, tol, value, extra=None) -> ResidualReport:
 def phwc_residual(samples, tol=DEFAULT_TOL_C) -> ResidualReport:
     """Residual of the two PHWC gradient identities at each sample."""
     return _residual_report("phwc", samples, tol,
-                            lambda s: _phwc_value(s.gram, s.n))
+                            lambda grams, points: _phwc_values(grams))
 
 
 def hwc_residual(samples, target: ChartedTarget, tol=DEFAULT_TOL_C) -> ResidualReport:
@@ -233,31 +249,30 @@ def hwc_residual(samples, target: ChartedTarget, tol=DEFAULT_TOL_C) -> ResidualR
     diagonal constraints; it is reported per sample and clamped to the
     report when negative beyond -tol.
     """
-    def value(s):
-        hinv = target.inverse_metric_at(
-            np.concatenate([s.image.real, s.image.imag]))
-        denom = float(np.trace(hinv))
-        if denom <= 0:
+    def values(grams, points):
+        hinv = target.inverse_metric_at(points)
+        denom = np.trace(hinv, axis1=1, axis2=2)
+        if np.any(denom <= 0):
             raise TargetMetricSingular("inverse metric trace not positive")
-        lam = float(np.trace(s.gram)) / denom
-        if lam < -tol:
-            lam = max(lam, 0.0)
-        return float(np.abs(s.gram - lam * hinv).max()), lam
+        lam = np.trace(grams, axis1=1, axis2=2) / denom
+        lam = np.where(lam < -tol, np.maximum(lam, 0.0), lam)
+        return (np.abs(grams - lam[:, None, None] * hinv).max(axis=(1, 2)),
+                lam)
 
-    return _residual_report("hwc", samples, tol, value, extra="dilation")
+    return _residual_report("hwc", samples, tol, values, extra="dilation")
 
 
 def commutator_form_residual(samples, target: ChartedTarget,
                              tol=DEFAULT_TOL_C) -> ResidualReport:
     """Commutator form: || [dphi dphi^*, J] ||_inf per sample, with
     dphi^* the metric adjoint, i.e. dphi dphi^* = Q h(phi)."""
-    def value(s):
-        h = target.metric_at(np.concatenate([s.image.real, s.image.imag]))
-        j = complex_structure(s.n)
-        m = s.gram @ h
-        return float(np.abs(m @ j - j @ m).max())
+    def values(grams, points):
+        h = target.metric_at(points)
+        j = complex_structure(grams.shape[1] // 2)
+        m = grams @ h
+        return np.abs(m @ j - j @ m).max(axis=(1, 2))
 
-    return _residual_report("commutator", samples, tol, value)
+    return _residual_report("commutator", samples, tol, values)
 
 
 def phwc_via_functions(samples, fn_family, tol=DEFAULT_TOL_C) -> ResidualReport:
@@ -265,16 +280,28 @@ def phwc_via_functions(samples, fn_family, tol=DEFAULT_TOL_C) -> ResidualReport:
 
     The family must contain at least the coordinates, the pair sums and
     the products z_A z_B, i z_A z_B: coordinates alone miss cross-pair
-    violations.
+    violations.  Jacobians and values of the family are evaluated sample
+    by sample, so the first pole is the one reported; the composed Grams
+    are then taken in one batch per family member.
     """
-    def value(s):
-        worst = 0.0
-        for f in fn_family:
-            comp = s.composed_with(_as_map(f))
-            worst = max(worst, _phwc_value(comp.gram, comp.n))
+    hols = [_as_map(f) for f in fn_family]
+
+    def values(grams, points):
+        jacs = [[] for _ in hols]
+        for s, point in zip(samples, points):
+            for hol, jac in zip(hols, jacs):
+                jac.append(_checked_jacobian(hol, point, s.rows.shape[0]))
+                hol.value_complex(s.image)
+        rows = _stacked((s.rows for s in samples), "gradients")
+        metrics = _stacked((s.metric for s in samples), "metrics")
+        worst = np.zeros(len(samples))
+        for jac in jacs:
+            comp = np.stack(jac) @ rows
+            gram = comp @ np.linalg.solve(metrics, comp.swapaxes(1, 2))
+            worst = np.fmax(worst, _phwc_values(gram))
         return worst
 
-    return _residual_report("phwc_via_functions", samples, tol, value)
+    return _residual_report("phwc_via_functions", samples, tol, values)
 
 
 def _as_map(f):
@@ -377,7 +404,7 @@ def hwc_implies_phwc_suite(random_count=1000, n=3, domain_dim=None,
         g_sqrt = gvecs @ np.diag(gvals ** 0.5) @ gvecs.T
         rows = np.sqrt(lam) * h_inv_sqrt @ r @ g_sqrt
         sample = GradientSample(rows, g, np.zeros(n, dtype=complex))
-        worst_fwd = max(worst_fwd, _phwc_value(sample.gram, n) / sample.scale)
+        worst_fwd = max(worst_fwd, _phwc_values(sample.gram) / sample.scale)
         # commutator agreement on arbitrary (generically non-PHWC) samples
         wild = GradientSample(rng.standard_normal((2, m)), g,
                               np.zeros(1, dtype=complex))
@@ -429,7 +456,7 @@ def _joint_verdicts_agree(sample, tol):
     satisfy c <= p <= 2c, so the verdicts must coincide and the sandwich
     is asserted too.
     """
-    phwc = _phwc_value(sample.gram, sample.n) / sample.scale
+    phwc = _phwc_values(sample.gram) / sample.scale
     rep = commutator_form_residual([sample], _flat_cache(sample.n))
     comm = rep.normalized[0]
     slack = 1e-12 * max(1.0, phwc, comm)

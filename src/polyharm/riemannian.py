@@ -88,6 +88,23 @@ def _require_spd(g, what="metric"):
     return g
 
 
+def _require_spd_stack(stack, what="metric"):
+    """_require_spd over a (k, m, m) stack in one batch: the first array
+    that is not symmetric positive definite raises its NotSPD."""
+    scale = np.fmax(1.0, np.abs(stack).max(axis=(1, 2)))
+    sym = np.isclose(stack, stack.swapaxes(1, 2), rtol=0.0,
+                     atol=1e-12 * scale[:, None, None]).all(axis=(1, 2))
+    eye = np.eye(stack.shape[1])
+    ev = np.linalg.eigvalsh(np.where(sym[:, None, None], stack, eye))[:, 0]
+    bad = ~sym | (ev <= 0.0)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if not sym[first]:
+            raise NotSPD(f"{what} is not symmetric")
+        raise NotSPD(f"{what} has non-positive eigenvalue {ev[first]:g}")
+    return stack
+
+
 def ellipticity_constant(g) -> float:
     """Smallest Lambda with Lambda^-2 |xi|^2 <= xi.g.xi <= Lambda^2 |xi|^2.
 
@@ -109,7 +126,9 @@ class PiecewiseMetric:
 
     mode is "constant" (one array per simplex) or "smooth" (one evaluator
     xi -> array per simplex).  ``arrays`` always holds the barycenter
-    values so cheap queries never call evaluators.
+    values so cheap queries never call evaluators.  ``stack`` and
+    ``volumes`` are the same data as (T, n, n) and (T,) arrays, built on
+    first use and cached.
     """
 
     complex: SimplicialComplex
@@ -182,6 +201,34 @@ class PiecewiseMetric:
     def global_ellipticity(self) -> float:
         return max(self.ellipticity)
 
+    @property
+    def stack(self) -> np.ndarray:
+        """Read-only (T, n, n) stack of the barycenter arrays, checked
+        symmetric positive definite in one batch when first built."""
+        cache = self.__dict__.get("_stack_cache")
+        if cache is None:
+            cache = _require_spd_stack(np.array(self.arrays, dtype=float))
+            cache.setflags(write=False)
+            object.__setattr__(self, "_stack_cache", cache)
+        return cache
+
+    @property
+    def volumes(self) -> np.ndarray:
+        """Read-only (T,) simplex volumes: sqrt(det g) / n! in constant
+        mode, the default-order quadrature of ``simplex_volume`` in smooth
+        mode."""
+        cache = self.__dict__.get("_volumes_cache")
+        if cache is None:
+            if self.mode == "constant":
+                cache = (np.sqrt(np.linalg.det(self.stack))
+                         / math.factorial(self.n))
+            else:
+                cache = np.array([_quadrature_volume(self, i)
+                                  for i in range(len(self.arrays))])
+            cache.setflags(write=False)
+            object.__setattr__(self, "_volumes_cache", cache)
+        return cache
+
     def at(self, idx, xi=None):
         """Metric array on top simplex ``idx`` at reference point xi
         (barycenter when omitted)."""
@@ -244,14 +291,17 @@ def _vertex_ref_coords(top):
 def simplex_volume(complex_, metric: PiecewiseMetric, idx, order=None) -> float:
     """Riemannian volume of top simplex ``idx``.
 
-    Constant mode: sqrt(det g) / n!.  Smooth mode: quadrature of
-    sqrt(det g(xi)) at the requested order (metric's default otherwise).
+    Constant mode: sqrt(det g) / n!, read from ``metric.volumes``.  Smooth
+    mode: quadrature of sqrt(det g(xi)) at the requested order (the
+    metric's default, cached in ``metric.volumes``, otherwise).
     """
-    n = complex_.n
-    if metric.mode == "constant":
-        g = _require_spd(metric.arrays[idx])
-        return float(math.sqrt(np.linalg.det(g)) / math.factorial(n))
-    pts, wts = simplex_rule(n, order or max(metric.quadrature_order, 2))
+    if metric.mode == "constant" or not order:
+        return float(metric.volumes[idx])
+    return _quadrature_volume(metric, idx, order)
+
+
+def _quadrature_volume(metric, idx, order=None) -> float:
+    pts, wts = simplex_rule(metric.n, order or max(metric.quadrature_order, 2))
     total = 0.0
     for xi, w in zip(pts, wts):
         g = metric.at(idx, xi)

@@ -69,13 +69,35 @@ class ChartedTarget:
         return complex_structure(self.n)
 
     def metric_at(self, p) -> np.ndarray:
-        self._check_chart(p)
-        h = np.asarray(self.metric(np.asarray(p, dtype=float)), dtype=float)
-        ev = np.linalg.eigvalsh(0.5 * (h + h.T))
-        if ev[0] <= 0.0 or not np.all(np.isfinite(h)):
-            raise TargetMetricSingular(
-                f"{self.name} metric singular at chart point {p}")
-        return h
+        """The 2n x 2n metric at the chart point p, or the (k, 2n, 2n)
+        stack at a (k, 2n) stack of points.
+
+        Points are checked against the chart and passed to ``metric`` one
+        by one in order, up to the first one outside the chart; the values
+        are then checked finite and positive definite in one batch.  The
+        first failing point raises ChartBoundary or TargetMetricSingular.
+        """
+        p = np.asarray(p, dtype=float)
+        points = p if p.ndim == 2 else p[None]
+        hs = []
+        for q in points:
+            if not self._in_chart(q):
+                break
+            hs.append(np.asarray(self.metric(q), dtype=float))
+        h = np.empty((0, p.shape[-1], p.shape[-1]))
+        if hs:
+            h = np.stack(hs)
+            finite = np.isfinite(h).all(axis=(1, 2))
+            sym = np.where(finite[:, None, None], 0.5 * (h + h.swapaxes(1, 2)),
+                           np.eye(h.shape[1]))
+            bad = ~finite | (np.linalg.eigvalsh(sym)[:, 0] <= 0.0)
+            if bad.any():
+                raise TargetMetricSingular(
+                    f"{self.name} metric singular at chart point "
+                    f"{points[np.argmax(bad)]}")
+        if len(hs) < len(points):
+            self._check_chart(points[len(hs)])
+        return h if p.ndim == 2 else h[0]
 
     def inverse_metric_at(self, p) -> np.ndarray:
         return np.linalg.inv(self.metric_at(p))
@@ -86,9 +108,12 @@ class ChartedTarget:
             return np.asarray(self.christoffel_fn(np.asarray(p, dtype=float)))
         return christoffel_fd(self.metric_at, p, self.fd_step)
 
+    def _in_chart(self, p) -> bool:
+        return self.chart_contains is None or bool(
+            self.chart_contains(np.asarray(p, dtype=float)))
+
     def _check_chart(self, p):
-        if self.chart_contains is not None and not self.chart_contains(
-                np.asarray(p, dtype=float)):
+        if not self._in_chart(p):
             raise ChartBoundary(f"point {p} outside chart of {self.name}")
 
     # -- sampled structure checks ----------------------------------------
@@ -178,13 +203,17 @@ def fubini_study_cp1() -> ChartedTarget:
     bounded distance from the pole.
     """
 
+    eye = np.eye(2)
+
+    # coordinates as Python floats: the same IEEE arithmetic as numpy
+    # scalars, with less overhead per point
     def metric(p):
-        x, y = p
-        return np.eye(2) / (1.0 + x * x + y * y) ** 2
+        x, y = np.asarray(p, dtype=float).tolist()
+        return eye / (1.0 + x * x + y * y) ** 2
 
     def christoffel(p):
         # conformal metric exp(2 rho) I with rho = -log(1 + r^2)
-        x, y = p
+        x, y = np.asarray(p, dtype=float).tolist()
         denom = 1.0 + x * x + y * y
         rx = -2.0 * x / denom
         ry = -2.0 * y / denom
@@ -247,9 +276,8 @@ class HolomorphicFunction:
         """(2 x 2n) real Jacobian rows (d f1; d f2) in the
         (x_1..x_n, y_1..y_n) basis, derived from the complex gradient."""
         g = self.grad(to_complex(p))
-        row1 = np.concatenate([g.real, -g.imag])   # d f1
-        row2 = np.concatenate([g.imag, g.real])    # d f2
-        return np.stack([row1, row2])
+        # rows d f1 = (Re g, -Im g) and d f2 = (Im g, Re g)
+        return np.concatenate([g.real, -g.imag, g.imag, g.real]).reshape(2, -1)
 
 
 def coordinate(n, a, name=None) -> HolomorphicFunction:
@@ -355,10 +383,8 @@ class HolomorphicMap:
 
     def real_jacobian(self, pt) -> np.ndarray:
         """(2p x 2n) real Jacobian, rows ordered (x_1..x_p, y_1..y_p)."""
-        rows = [f.real_jacobian(pt) for f in self.components]
-        top = np.stack([r[0] for r in rows])
-        bottom = np.stack([r[1] for r in rows])
-        return np.concatenate([top, bottom], axis=0)
+        rows = np.stack([f.real_jacobian(pt) for f in self.components], axis=1)
+        return rows.reshape(2 * self.p, -1)
 
 
 def identity_map(n) -> HolomorphicMap:

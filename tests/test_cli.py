@@ -293,6 +293,47 @@ def test_bad_input_file_is_usage_error(square_files, capsys, case):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("case", [
+    "mesh_vertices_number", "mesh_vertices_ragged", "mesh_simplices_strings",
+    "mesh_simplices_bools", "metric_per_simplex_number",
+    "metric_entries_strings", "boundary_string", "boundary_ragged"])
+def test_malformed_fields_are_usage_errors(square_files, capsys, case):
+    c, mesh, map_path, tmp = square_files
+    payload = fileio.mesh_payload(c)
+    boundary = {str(v): [0.0, 0.0] for v in sorted(c.boundary_vertices())}
+    metric = {"per_simplex": [[1, 0, 0, 1]] * len(c.top_simplices)}
+    if case == "mesh_vertices_number":
+        payload["vertices"] = 5
+    elif case == "mesh_vertices_ragged":
+        payload["vertices"][0] = payload["vertices"][0] + [0.0]
+    elif case == "mesh_simplices_strings":
+        payload["simplices"][0] = [str(v) for v in payload["simplices"][0]]
+    elif case == "mesh_simplices_bools":
+        # True == 1 as a vertex id; JSON booleans are not ids
+        payload["simplices"][0] = [0, True, 3]
+    elif case == "metric_per_simplex_number":
+        metric["per_simplex"] = 5
+    elif case == "metric_entries_strings":
+        metric["per_simplex"][0] = ["1", "0", "0", "1"]
+    elif case == "boundary_string":
+        boundary[next(iter(boundary))] = "x"
+    else:
+        first, second = list(boundary)[:2]
+        boundary[first] = [0.0, 0.0, 1.0]
+        boundary[second] = [1.0]
+    if case.startswith("mesh"):
+        argv = ["validate", _write(tmp / "m.json", json.dumps(payload))]
+    elif case.startswith("metric"):
+        argv = ["energy", mesh, map_path, "--metric",
+                _write(tmp / "g.json", json.dumps(metric))]
+    else:
+        argv = ["solve", mesh, _write(tmp / "b.json", json.dumps(boundary))]
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "usage error" in err
+
+
 @pytest.mark.parametrize("key, value", [("tol_geom", 1e-8),
                                         ("quadrature_order", 2),
                                         ("output_format", "json")])

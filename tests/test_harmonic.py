@@ -4,7 +4,7 @@ import pytest
 from polyharm import meshes
 from polyharm.energy import dirichlet_energy
 from polyharm.errors import (MissingBoundaryValues, NonConvergence,
-                             NotAdmissible)
+                             NotAdmissible, PolyharmError)
 from polyharm.harmonic import (SolveOptions, assemble_stiffness,
                                christoffel_load, discrete_maximum_principle,
                                solve_harmonic_function, solve_harmonic_map,
@@ -247,6 +247,12 @@ def test_nonconvergence_carries_history():
     with pytest.raises(NonConvergence) as err:
         solve_harmonic_map(s, fs, bv, SolveOptions(max_iter=2, tol=1e-14))
     assert len(err.value.history) == 2
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_solve_options_refuse_an_empty_iteration_budget(max_iter):
+    with pytest.raises(PolyharmError, match="max_iter must be at least 1"):
+        SolveOptions(max_iter=max_iter)
 
 
 def test_christoffel_load_zero_for_flat():
