@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BallLeavesSimplex, NonpositiveEpsilon, PoleAtPoint
 from .maps import PLMap, _checked_jacobian
-from .riemannian import PiecewiseMetric, simplex_rule
+from .riemannian import PiecewiseMetric, quadrature_sum, simplex_rule
 
 
 def unit_ball_volume(m: int) -> float:
@@ -86,11 +86,12 @@ def dirichlet_energy(complex_, metric: PiecewiseMetric, plmap: PLMap,
     idx = np.arange(len(complex_.top_simplices))
     rows = plmap.differential(idx)[:, None]                  # (T, 1, d, n)
     if metric.mode == "smooth":
-        g = np.array([[metric.at(i, xi) for xi in pts]
-                      for i in idx.tolist()])                 # (T, q, n, n)
+        g = metric.at_points(idx.tolist(), pts)               # (T, q, n, n)
+        ginv = np.linalg.inv(g)
     else:
         g = metric.stack[:, None]                             # (T, 1, n, n)
-    q = rows @ np.linalg.inv(g) @ rows.swapaxes(-1, -2)
+        ginv = metric.inverse[:, None]
+    q = rows @ ginv @ rows.swapaxes(-1, -2)
     if target is None:
         dens = np.trace(q, axis1=-2, axis2=-1)
     else:
@@ -99,13 +100,8 @@ def dirichlet_energy(complex_, metric: PiecewiseMetric, plmap: PLMap,
         dens = np.einsum("tqab,tqab->tq",
                          h.reshape(images.shape + images.shape[-1:]), q)
     dv = wts * np.sqrt(np.linalg.det(g))                      # (T, q)
-    dens = np.broadcast_to(dens, dv.shape)
-    contributions = np.zeros(len(idx))
-    volumes = np.zeros(len(idx))
-    for k in range(len(wts)):  # the quadrature sum in point order
-        contributions += dens[:, k] * dv[:, k]
-        volumes += dv[:, k]
-    densities = contributions / volumes
+    contributions = quadrature_sum(dens * dv)
+    densities = contributions / quadrature_sum(dv)
 
     if normalization == "ks_raw":
         densities = cm * densities
@@ -134,7 +130,7 @@ def approx_energy_density(complex_, metric: PiecewiseMetric, plmap: PLMap,
     idx = address.top_index
     xi0 = address.ref_coords()
     g = metric.at(idx)
-    ginv = np.linalg.inv(g)
+    ginv = metric.inverse[idx]
 
     # distance from xi0 to each face of the reference simplex, measured in g
     margins = []
@@ -199,7 +195,7 @@ def composite_energy_bound_check(complex_, metric, plmap, hol) -> CompositeBound
     if bad.any():
         raise PoleAtPoint(
             f"composition not finite on simplex {int(np.argmax(bad))}")
-    dens = np.trace(composed @ np.linalg.inv(metric.stack)
+    dens = np.trace(composed @ metric.inverse
                     @ composed.swapaxes(1, 2), axis1=1, axis2=2)
     lhs = sum((dens * metric.volumes).tolist())  # in simplex order
     lam = max(0.0, float(np.linalg.norm(jacs, 2, axis=(1, 2)).max()))

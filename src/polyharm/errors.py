@@ -46,7 +46,12 @@ class DegenerateSimplex(PolyharmError):
 # -- metric / linear algebra errors ---------------------------------------
 
 class NotSPD(PolyharmError):
-    """Matrix expected to be symmetric positive definite is not."""
+    """Matrix expected to be symmetric positive definite is not; ``index``
+    is the first failing array of a checked stack."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class TargetMetricSingular(PolyharmError):

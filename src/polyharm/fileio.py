@@ -140,7 +140,7 @@ def load_metric(path, complex_) -> PiecewiseMetric:
 def metric_payload(metric: PiecewiseMetric) -> dict:
     return {
         "mode": "constant",
-        "per_simplex": [list(map(float, a.ravel())) for a in metric.arrays],
+        "per_simplex": [list(map(float, a.ravel())) for a in metric.stack],
     }
 
 

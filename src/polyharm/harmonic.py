@@ -9,15 +9,14 @@ vertex p and every chart component k,
 
 Stiffness entries are exact for constant-per-simplex metrics; the
 Christoffel load uses the barycenter value of Gamma o phi times the
-per-simplex constant gradient pairing.  Assembly iterates simplices in
-index order with a deterministic reduction and caches the per-simplex
-geometry the load needs; solves are single threaded.  Systems are
-immutable once assembled (lazy caches aside).
+per-simplex constant gradient pairing.  Assembly and the load reduce the
+per-simplex contributions in simplex index order, so results are
+deterministic; solves are single threaded.  Systems are immutable once
+assembled (lazy caches aside).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,8 @@ from scipy.sparse.linalg import splu, lsmr
 from .errors import (ImageLeftChart, MissingBoundaryValues, NonConvergence,
                      NotAdmissible, SingularSystem, UsageError)
 from .maps import PLMap
-from .riemannian import PiecewiseMetric, simplex_rule, simplex_volume
+from .riemannian import (PiecewiseMetric, quadrature_sum, simplex_rule,
+                         simplex_volume)
 from .simplicial import SimplicialComplex, check_admissible
 
 
@@ -43,10 +43,9 @@ def hat_gradients(n: int) -> np.ndarray:
 class StiffnessSystem:
     """Assembled hat-basis Dirichlet form of a Riemannian complex.
 
-    Per-simplex geometry is cached in simplex order: ``tops`` (T x n+1)
-    holds the positions in ``vertex_order`` of each top simplex's sorted
-    vertices, ``vol`` (T,) the simplex volumes and ``ginv`` (T x n x n)
-    the inverse metrics at the barycenters.
+    Rows and columns follow ``vertex_order``, the sorted vertex ids, the
+    order of ``complex.top_array``.  Per-simplex geometry lives on the
+    complex and the metric.
     """
 
     complex: SimplicialComplex
@@ -55,9 +54,6 @@ class StiffnessSystem:
     S: csr_matrix = field(repr=False)
     masses: np.ndarray = field(repr=False)   # integral of hat_p dmu_g
     boundary: frozenset = field(repr=False)
-    tops: np.ndarray = field(repr=False)
-    vol: np.ndarray = field(repr=False)
-    ginv: np.ndarray = field(repr=False)
 
     @property
     def index(self):
@@ -84,16 +80,14 @@ class StiffnessSystem:
             object.__setattr__(self, "_interior_lu_cache", cache)
         return cache
 
-    def values_to_array(self, plmap: PLMap) -> np.ndarray:
-        return np.stack([plmap.values[v] for v in self.vertex_order])
-
 
 def assemble_stiffness(complex_: SimplicialComplex,
                        metric: PiecewiseMetric) -> StiffnessSystem:
     """Assemble S and the vertex masses.
 
     Refuses non-admissible complexes: the energy theory lives on
-    admissible Riemannian polyhedra.
+    admissible Riemannian polyhedra.  S is one COO build from the
+    (T, n+1, n+1) stack of local matrices, in simplex-major order.
     """
     report = check_admissible(complex_)
     if not report.admissible:
@@ -101,59 +95,36 @@ def assemble_stiffness(complex_: SimplicialComplex,
             f"complex not admissible; offending stars: {report.witnesses}")
 
     n = complex_.n
-    order = sorted(complex_.vertices)
-    idx = {v: i for i, v in enumerate(order)}
+    order = tuple(sorted(complex_.vertices))
+    tops = complex_.top_array
     hats = hat_gradients(n)
+    if metric.mode == "constant":
+        vol = simplex_volume(complex_, metric, np.arange(len(tops)))
+        k_local = (hats @ np.linalg.solve(metric.stack, hats.T)
+                   * vol[:, None, None])
+        m_local = np.repeat((vol / (n + 1))[:, None], n + 1, axis=1)
+    else:
+        pts, wts = simplex_rule(n, max(metric.quadrature_order, 2))
+        g = metric.at_points(range(len(tops)), pts)          # (T, q, n, n)
+        dv = wts * np.sqrt(np.linalg.det(g))
+        k_local = quadrature_sum(
+            hats @ np.linalg.solve(g, hats.T) * dv[..., None, None])
+        lam = np.column_stack([1.0 - pts.sum(axis=1), pts])  # (q, n+1)
+        m_local = quadrature_sum(lam * dv[..., None])
 
-    num_tops = len(complex_.top_simplices)
-    tops = np.empty((num_tops, n + 1), dtype=np.intp)
-    vols = np.empty(num_tops)
-    ginv = np.empty((num_tops, n, n))
-    rows, cols, vals = [], [], []
     masses = np.zeros(len(order))
-    for s_i, top in enumerate(complex_.top_simplices):
-        local = [idx[v] for v in top]
-        tops[s_i] = local
-        if metric.mode == "constant":
-            g = metric.at(s_i)
-            vol = simplex_volume(complex_, metric, s_i)
-            g_hats = np.linalg.solve(g, hats.T)  # columns 1..n are g^-1
-            ginv[s_i] = g_hats[:, 1:]
-            k_local = hats @ g_hats * vol
-            m_local = np.full(n + 1, vol / (n + 1))
-        else:
-            pts, wts = simplex_rule(n, max(metric.quadrature_order, 2))
-            k_local = np.zeros((n + 1, n + 1))
-            m_local = np.zeros(n + 1)
-            vol = 0.0  # the sum simplex_volume takes, in the same order
-            for xi, w in zip(pts, wts):
-                g = metric.at(s_i, xi)
-                dv = w * math.sqrt(np.linalg.det(g))
-                vol += dv
-                k_local += hats @ np.linalg.solve(g, hats.T) * dv
-                lam = np.concatenate([[1.0 - xi.sum()], xi])
-                m_local += lam * dv
-            ginv[s_i] = np.linalg.inv(metric.at(s_i))
-        vols[s_i] = vol
-        for a in range(n + 1):
-            masses[local[a]] += m_local[a]
-            for b in range(n + 1):
-                rows.append(local[a])
-                cols.append(local[b])
-                vals.append(k_local[a, b])
-
-    S = coo_matrix((vals, (rows, cols)),
+    np.add.at(masses, tops.ravel(), m_local.ravel())
+    rows = np.repeat(tops, n + 1, axis=1).ravel()
+    cols = np.tile(tops, n + 1).ravel()
+    S = coo_matrix((k_local.ravel(), (rows, cols)),
                    shape=(len(order), len(order))).tocsr()
     return StiffnessSystem(
         complex=complex_,
         metric=metric,
-        vertex_order=tuple(order),
+        vertex_order=order,
         S=S,
         masses=masses,
         boundary=complex_.boundary_vertices(),
-        tops=tops,
-        vol=vols,
-        ginv=ginv,
     )
 
 
@@ -170,24 +141,21 @@ def christoffel_load(system: StiffnessSystem, target, plmap: PLMap) -> np.ndarra
     Gamma is evaluated image by image in simplex order, so the first
     simplex whose barycenter image leaves the chart is the one reported.
     """
-    n = system.complex.n
-    corners = system.values_to_array(plmap)[system.tops]    # (T, n+1, d)
-    # rows of d(phi) per simplex, (T, d, n), as PLMap.differential has them
-    diffs = np.ascontiguousarray(
-        (corners[:, 1:] - corners[:, :1]).swapaxes(1, 2))
-    # w0 + d(phi) @ bary rather than a mean: the same rounding as
-    # PLMap.value_at, which finite-difference Christoffel symbols amplify
-    images = corners[:, 0] + diffs @ np.full(n, 1.0 / (n + 1))
-    pairing = np.einsum("tai,tij,tbj->tab", diffs, system.ginv, diffs)
+    cx, metric = system.complex, system.metric
+    n = cx.n
+    idx = np.arange(len(cx.top_simplices))
+    diffs = plmap.differential(idx)                        # (T, d, n)
+    images = plmap.value_at(idx, np.full(n, 1.0 / (n + 1)))
+    pairing = np.einsum("tai,tij,tbj->tab", diffs, metric.inverse, diffs)
     gammas = np.empty(images.shape + pairing.shape[1:])
     for s_i, image in enumerate(images):
         if target.chart_contains is not None and not target.chart_contains(image):
             raise ImageLeftChart(f"image {image} outside chart on simplex {s_i}")
         gammas[s_i] = target.christoffel(image)
     coef = np.einsum("tkab,tab->tk", gammas, pairing)
-    share = coef * system.vol[:, None] / (n + 1)
+    share = coef * metric.volumes[:, None] / (n + 1)
     out = np.zeros((len(system.vertex_order), images.shape[1]))
-    np.add.at(out, system.tops.ravel(), np.repeat(share, n + 1, axis=0))
+    np.add.at(out, cx.top_array.ravel(), np.repeat(share, n + 1, axis=0))
     return out
 
 
@@ -224,9 +192,7 @@ class HarmonicResidual:
 def weak_harmonic_residual(system: StiffnessSystem, target,
                            plmap: PLMap) -> HarmonicResidual:
     """r_k(p) = (S phi^k)(p) - load_k(p) on interior rows, with norms."""
-    u = system.values_to_array(plmap)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = plmap.value_array(system.vertex_order)
     if target is None or target.is_flat:
         load = np.zeros_like(u)
     else:
@@ -270,11 +236,9 @@ def discrete_maximum_principle(system: StiffnessSystem):
     meshes legitimately violate the sign condition.
     """
     s = system.S.tocoo()
-    worst = 0.0
-    for r, c, v in zip(s.row, s.col, s.data):
-        if r != c and v > worst:
-            worst = v
-    return worst <= 1e-14, float(worst)
+    off = s.data[s.row != s.col]
+    worst = float(np.max(off, initial=0.0, where=off > 0.0))
+    return worst <= 1e-14, worst
 
 
 def subharmonic_pullback_check(system: StiffnessSystem, plmap: PLMap,

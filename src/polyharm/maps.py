@@ -54,10 +54,7 @@ class PLMap:
         and (T, d, n) differentials, built once."""
         cache = self.__dict__.get("_stack_cache")
         if cache is None:
-            pos = {v: i for i, v in enumerate(self.values)}
-            vals = np.stack(list(self.values.values()))
-            corners = vals[np.array([[pos[v] for v in t]
-                                     for t in self.complex.top_simplices])]
+            corners = self.value_array()[self.complex.top_array]
             diffs = np.ascontiguousarray(
                 (corners[:, 1:] - corners[:, :1]).swapaxes(1, 2))
             cache = (np.ascontiguousarray(corners[:, 0]), diffs)

@@ -178,14 +178,11 @@ def flat_torus(k=3, width=None):
 
     complex_ = build_complex(verts, tris)
     lookup = {tuple(sorted(t)): coords for t, coords in zip(tris, unfolded)}
-    arrays = []
-    for t in complex_.top_simplices:
-        pos = lookup[t]
-        pts = [np.array(pos[v], dtype=float) for v in t]
-        edges = np.stack([p - pts[0] for p in pts[1:]], axis=1)
-        arrays.append(edges.T @ edges)
-    metric = PiecewiseMetric.from_arrays(complex_, arrays)
-    return complex_, metric
+    corners = np.array([[lookup[t][v] for v in t]
+                        for t in complex_.top_simplices], dtype=float)
+    edges = corners[:, 1:] - corners[:, :1]
+    return complex_, PiecewiseMetric.from_arrays(
+        complex_, edges @ edges.swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -76,33 +76,44 @@ def _duffy_rule(n: int, points_per_axis: int):
 # SPD helpers
 # ---------------------------------------------------------------------------
 
-def _require_spd(g, what="metric"):
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise NotSPD(f"{what} is not square: shape {g.shape}")
-    if not np.allclose(g, g.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(g).max())):
-        raise NotSPD(f"{what} is not symmetric")
-    ev = np.linalg.eigvalsh(g)
-    if ev[0] <= 0.0:
-        raise NotSPD(f"{what} has non-positive eigenvalue {ev[0]:g}")
-    return g
-
-
-def _require_spd_stack(stack, what="metric"):
-    """_require_spd over a (k, m, m) stack in one batch: the first array
-    that is not symmetric positive definite raises its NotSPD."""
+def _require_spd_stack(stack, what="metric") -> np.ndarray:
+    """Ascending eigenvalues (k, m) of a (k, m, m) float stack checked
+    symmetric positive definite in one batch: the first array that has a
+    non-finite entry, is not symmetric or is not positive definite raises
+    NotSPD with its position as ``index``."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise NotSPD(f"{what} is not square: shape {stack.shape[1:]}")
+    eye = np.eye(stack.shape[1])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    stack = np.where(finite[:, None, None], stack, eye)
     scale = np.fmax(1.0, np.abs(stack).max(axis=(1, 2)))
     sym = np.isclose(stack, stack.swapaxes(1, 2), rtol=0.0,
                      atol=1e-12 * scale[:, None, None]).all(axis=(1, 2))
-    eye = np.eye(stack.shape[1])
-    ev = np.linalg.eigvalsh(np.where(sym[:, None, None], stack, eye))[:, 0]
-    bad = ~sym | (ev <= 0.0)
+    ev = np.linalg.eigvalsh(np.where(sym[:, None, None], stack, eye))
+    bad = ~finite | ~sym | (ev[:, 0] <= 0.0)
     if bad.any():
         first = int(np.argmax(bad))
-        if not sym[first]:
-            raise NotSPD(f"{what} is not symmetric")
-        raise NotSPD(f"{what} has non-positive eigenvalue {ev[first]:g}")
-    return stack
+        if not finite[first]:
+            reason = "has a non-finite entry"
+        elif not sym[first]:
+            reason = "is not symmetric"
+        else:
+            reason = f"has non-positive eigenvalue {ev[first, 0]:g}"
+        raise NotSPD(f"{what} {reason}", index=first)
+    return ev
+
+
+def _require_spd(g, what="metric") -> np.ndarray:
+    """The check of ``_require_spd_stack`` on one array; returns it as a
+    float array."""
+    g = np.asarray(g, dtype=float)
+    _require_spd_stack(g[None], what)
+    return g
+
+
+def _ellipticity(ev) -> np.ndarray:
+    """Per row of ascending eigenvalues: see ellipticity_constant."""
+    return np.fmax(np.sqrt(ev[:, -1]), 1.0 / np.sqrt(ev[:, 0]))
 
 
 def ellipticity_constant(g) -> float:
@@ -111,9 +122,17 @@ def ellipticity_constant(g) -> float:
     Equals max(sqrt(lambda_max), 1/sqrt(lambda_min)) over the eigenvalues
     of g.  Raises NotSPD when g is not symmetric positive definite.
     """
-    g = _require_spd(g)
-    ev = np.linalg.eigvalsh(g)
-    return float(max(math.sqrt(ev[-1]), 1.0 / math.sqrt(ev[0])))
+    return float(_ellipticity(
+        _require_spd_stack(np.asarray(g, dtype=float)[None]))[0])
+
+
+def quadrature_sum(values) -> np.ndarray:
+    """Sum over axis 1, the quadrature points, in point order from zero:
+    the rounding of a loop over the points."""
+    total = np.zeros(values.shape[:1] + values.shape[2:])
+    for k in range(values.shape[1]):
+        total += values[:, k]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -125,71 +144,75 @@ class PiecewiseMetric:
     """Per-top-simplex SPD metric in reference coordinates.
 
     mode is "constant" (one array per simplex) or "smooth" (one evaluator
-    xi -> array per simplex).  ``arrays`` always holds the barycenter
-    values so cheap queries never call evaluators.  ``stack`` and
-    ``volumes`` are the same data as (T, n, n) and (T,) arrays, built on
-    first use and cached.
+    xi -> array per simplex).  ``stack`` is the read-only (T, n, n) stack
+    of barycenter values, so cheap queries never call evaluators.  It is
+    checked symmetric positive definite in one batch at construction, and
+    the ellipticity constants come from the same eigenvalues.  ``volumes``
+    (T,) and ``inverse`` (T, n, n) are built from it on first use and
+    cached.
     """
 
     complex: SimplicialComplex
     mode: str
-    arrays: tuple  # barycenter value per top simplex
+    stack: np.ndarray  # barycenter value per top simplex
     evaluators: tuple = None  # smooth mode only
     quadrature_order: int = 1
-    ellipticity: tuple = field(default=None, repr=False)
-    continuity_flag: bool = field(default=None, repr=False)
+    ellipticity: tuple = field(init=False, repr=False)
+    continuity_flag: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.ellipticity is None:
-            object.__setattr__(
-                self, "ellipticity",
-                tuple(ellipticity_constant(g) for g in self.arrays))
-        if self.continuity_flag is None:
-            object.__setattr__(self, "continuity_flag", self._faces_agree())
+        n, count = self.n, len(self.complex.top_simplices)
+        if len(self.stack) != count:
+            raise NotSPD(f"need {count} arrays, got {len(self.stack)}")
+        try:
+            stack = np.array(self.stack, dtype=float)
+        except ValueError:  # shapes differ: check the first not n x n
+            stack = np.array([a for a in self.stack
+                              if np.shape(a) != (n, n)][:1], dtype=float)
+        ev = _require_spd_stack(stack)
+        if stack.shape[1:] != (n, n):
+            raise NotSPD(f"array shape {stack.shape[1:]} != ({n}, {n})")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "ellipticity",
+                           tuple(_ellipticity(ev).tolist()))
+        object.__setattr__(self, "continuity_flag", self._faces_agree())
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_arrays(cls, complex_, arrays, quadrature_order=1):
-        arrs = tuple(_require_spd(np.array(a, dtype=float)) for a in arrays)
-        if len(arrs) != len(complex_.top_simplices):
-            raise NotSPD(
-                f"need {len(complex_.top_simplices)} arrays, got {len(arrs)}")
-        for a in arrs:
-            if a.shape != (complex_.n, complex_.n):
-                raise NotSPD(f"array shape {a.shape} != ({complex_.n}, {complex_.n})")
-        return cls(complex_, "constant", arrs, None, quadrature_order)
+        return cls(complex_, "constant", arrays, None, quadrature_order)
 
     @classmethod
     def euclidean(cls, complex_):
         """The reference euclidean metric: identity array on every simplex."""
-        eye = np.eye(complex_.n)
-        return cls(complex_, "constant",
-                   tuple(eye.copy() for _ in complex_.top_simplices))
+        n = complex_.n
+        return cls(complex_, "constant", np.broadcast_to(
+            np.eye(n), (len(complex_.top_simplices), n, n)))
 
     @classmethod
     def from_embedding(cls, complex_):
         """Gram matrices of the embedded edge vectors."""
-        arrays = []
-        for t in complex_.top_simplices:
-            coords = [complex_.vertices[v] for v in t]
-            edges = np.stack([c - coords[0] for c in coords[1:]], axis=1)
-            gram = edges.T @ edges
-            try:
-                arrays.append(_require_spd(gram))
-            except NotSPD:
-                raise DegenerateSimplex(f"simplex {t} has degenerate embedding")
-        return cls(complex_, "constant", tuple(arrays))
+        coords = np.stack([complex_.vertices[v]
+                           for v in sorted(complex_.vertices)])
+        corners = coords[complex_.top_array]
+        edges = corners[:, 1:] - corners[:, :1]
+        try:
+            return cls(complex_, "constant", edges @ edges.swapaxes(1, 2))
+        except NotSPD as exc:
+            raise DegenerateSimplex(
+                f"simplex {complex_.top_simplices[exc.index]} has "
+                f"degenerate embedding")
 
     @classmethod
     def from_evaluators(cls, complex_, evaluators, quadrature_order=2):
         """Smooth mode: ``evaluators[i](xi)`` returns the SPD array on
         top simplex i at reference coordinates xi."""
         evs = tuple(evaluators)
-        bary = [np.full(complex_.n, 1.0 / (complex_.n + 1))] * len(evs)
-        arrays = tuple(_require_spd(np.asarray(ev(b), dtype=float))
-                       for ev, b in zip(evs, bary))
-        return cls(complex_, "smooth", arrays, evs, quadrature_order)
+        bary = np.full(complex_.n, 1.0 / (complex_.n + 1))
+        return cls(complex_, "smooth", [ev(bary) for ev in evs], evs,
+                   quadrature_order)
 
     # -- queries -----------------------------------------------------------
 
@@ -202,17 +225,6 @@ class PiecewiseMetric:
         return max(self.ellipticity)
 
     @property
-    def stack(self) -> np.ndarray:
-        """Read-only (T, n, n) stack of the barycenter arrays, checked
-        symmetric positive definite in one batch when first built."""
-        cache = self.__dict__.get("_stack_cache")
-        if cache is None:
-            cache = _require_spd_stack(np.array(self.arrays, dtype=float))
-            cache.setflags(write=False)
-            object.__setattr__(self, "_stack_cache", cache)
-        return cache
-
-    @property
     def volumes(self) -> np.ndarray:
         """Read-only (T,) simplex volumes: sqrt(det g) / n! in constant
         mode, the default-order quadrature of ``simplex_volume`` in smooth
@@ -223,27 +235,43 @@ class PiecewiseMetric:
                 cache = (np.sqrt(np.linalg.det(self.stack))
                          / math.factorial(self.n))
             else:
-                cache = np.array([_quadrature_volume(self, i)
-                                  for i in range(len(self.arrays))])
+                cache = _quadrature_volumes(
+                    self, range(len(self.stack)),
+                    max(self.quadrature_order, 2))
             cache.setflags(write=False)
             object.__setattr__(self, "_volumes_cache", cache)
+        return cache
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """Read-only (T, n, n) inverses of the barycenter arrays."""
+        cache = self.__dict__.get("_inverse_cache")
+        if cache is None:
+            cache = np.linalg.inv(self.stack)
+            cache.setflags(write=False)
+            object.__setattr__(self, "_inverse_cache", cache)
         return cache
 
     def at(self, idx, xi=None):
         """Metric array on top simplex ``idx`` at reference point xi
         (barycenter when omitted)."""
         if self.mode == "constant" or xi is None:
-            return self.arrays[idx]
-        return _require_spd(np.asarray(self.evaluators[idx](np.asarray(xi)), float))
+            return self.stack[idx]
+        return _require_spd(self.evaluators[idx](np.asarray(xi)))
+
+    def at_points(self, idx, pts) -> np.ndarray:
+        """(len(idx), q, n, n): the arrays on the top simplices ``idx`` at
+        the q reference points ``pts``, evaluated point by point in
+        simplex order."""
+        return np.array([[self.at(i, xi) for xi in pts] for i in idx])
 
     def scaled(self, factor: float) -> "PiecewiseMetric":
         """Metric multiplied by a positive constant."""
         if factor <= 0:
             raise NotSPD("scale factor must be positive")
         if self.mode == "constant":
-            return PiecewiseMetric(
-                self.complex, "constant",
-                tuple(factor * a for a in self.arrays))
+            return PiecewiseMetric(self.complex, "constant",
+                                   factor * self.stack)
         evs = tuple((lambda e: (lambda xi: factor * np.asarray(e(xi))))(e)
                     for e in self.evaluators)
         return PiecewiseMetric.from_evaluators(self.complex, evs,
@@ -252,66 +280,62 @@ class PiecewiseMetric:
     # -- face compatibility -------------------------------------------------
 
     def _faces_agree(self) -> bool:
-        cx = self.complex
-        for face, cof in cx.cofaces.items():
-            if len(cof) < 2:
-                continue
-            mats = [self._face_restriction(i, face) for i in cof]
-            for m in mats[1:]:
-                if np.abs(m - mats[0]).max() > FACE_MATCH_TOL:
-                    return False
-        return True
-
-    def _face_restriction(self, idx, face):
-        """Pullback of the simplex metric to a face, in the face's own
-        sorted edge frame."""
-        top = self.complex.top_simplices[idx]
-        ref = _vertex_ref_coords(top)
-        a = np.stack([ref[w] - ref[face[0]] for w in face[1:]], axis=1)
-        xi = np.mean([ref[w] for w in face], axis=0)  # face barycenter
-        g = self.at(idx, xi)
-        return a.T @ g @ a
-
-
-def _vertex_ref_coords(top):
-    """Reference coordinates of each vertex of a sorted top simplex."""
-    n = len(top) - 1
-    out = {top[0]: np.zeros(n)}
-    for i, v in enumerate(top[1:]):
-        e = np.zeros(n)
-        e[i] = 1.0
-        out[v] = e
-    return out
+        """Whether each (n-1)-face shared by several top simplices gets
+        the same metric, within FACE_MATCH_TOL, from all of them as from
+        the lowest-index one.  The face omitting the vertex at position j
+        has the same reference frame and barycenter in every simplex."""
+        n, tops = self.n, self.complex.top_array
+        keep = np.array([[p for p in range(n + 1) if p != j]
+                         for j in range(n + 1)], dtype=np.intp)
+        ref = np.vstack([np.zeros(n), np.eye(n)])  # vertex reference coords
+        frames = (ref[keep[:, 1:]] - ref[keep[:, :1]]).swapaxes(1, 2)
+        centers = ref[keep].mean(axis=1)
+        _, first, group, counts = np.unique(
+            tops[:, keep].reshape(-1, n), axis=0, return_index=True,
+            return_inverse=True, return_counts=True)
+        group = group.ravel()
+        shared = np.flatnonzero(counts[group] >= 2)  # (simplex, j) pairs
+        t, j = np.divmod(shared, n + 1)
+        if self.mode == "constant":
+            g = self.stack[t]
+        else:
+            g = np.array([self.at(i, centers[k]) for i, k in
+                          zip(t.tolist(), j.tolist())]).reshape(-1, n, n)
+        restr = frames[j].swapaxes(1, 2) @ g @ frames[j]
+        base = restr[np.searchsorted(shared, first[group[shared]])]
+        return not (np.abs(restr - base) > FACE_MATCH_TOL).any()
 
 
 # ---------------------------------------------------------------------------
 # volumes and gradient pairings
 # ---------------------------------------------------------------------------
 
-def simplex_volume(complex_, metric: PiecewiseMetric, idx, order=None) -> float:
-    """Riemannian volume of top simplex ``idx``.
+def simplex_volume(complex_, metric: PiecewiseMetric, idx, order=None):
+    """Riemannian volume of top simplex ``idx``; an integer index array
+    gives the volumes of those simplices as an array.
 
     Constant mode: sqrt(det g) / n!, read from ``metric.volumes``.  Smooth
     mode: quadrature of sqrt(det g(xi)) at the requested order (the
     metric's default, cached in ``metric.volumes``, otherwise).
     """
     if metric.mode == "constant" or not order:
-        return float(metric.volumes[idx])
-    return _quadrature_volume(metric, idx, order)
+        vol = metric.volumes[idx]
+    else:
+        vol = _quadrature_volumes(metric, np.reshape(idx, -1),
+                                  order).reshape(np.shape(idx))
+    return vol if np.ndim(vol) else float(vol)
 
 
-def _quadrature_volume(metric, idx, order=None) -> float:
-    pts, wts = simplex_rule(metric.n, order or max(metric.quadrature_order, 2))
-    total = 0.0
-    for xi, w in zip(pts, wts):
-        g = metric.at(idx, xi)
-        total += w * math.sqrt(np.linalg.det(g))
-    return float(total)
+def _quadrature_volumes(metric, idx, order) -> np.ndarray:
+    pts, wts = simplex_rule(metric.n, order)
+    return quadrature_sum(
+        wts * np.sqrt(np.linalg.det(metric.at_points(idx, pts))))
 
 
 def total_volume(complex_, metric, order=None) -> float:
-    return sum(simplex_volume(complex_, metric, i, order)
-               for i in range(len(complex_.top_simplices)))
+    return sum(simplex_volume(complex_, metric,
+                              np.arange(len(complex_.top_simplices)),
+                              order).tolist())
 
 
 def gradient_inner(metric: PiecewiseMetric, idx, du, dv, xi=None) -> float:
@@ -320,7 +344,7 @@ def gradient_inner(metric: PiecewiseMetric, idx, du, dv, xi=None) -> float:
     du, dv are differentials (covector rows) in reference coordinates;
     the gradient pairing is du . g^-1 . dv.
     """
-    g = _require_spd(metric.at(idx, xi))
+    g = metric.at(idx, xi)
     du = np.asarray(du, dtype=float)
     dv = np.asarray(dv, dtype=float)
     return float(du @ np.linalg.solve(g, dv))

@@ -86,6 +86,19 @@ class SimplicialComplex:
         return cache
 
     @property
+    def top_array(self) -> np.ndarray:
+        """Read-only (T, n+1) array: row i holds the positions, in the
+        sorted vertex order, of the sorted vertices of top simplex i."""
+        cache = self.__dict__.get("_top_array_cache")
+        if cache is None:
+            pos = {v: i for i, v in enumerate(sorted(self.vertices))}
+            cache = np.array([[pos[v] for v in t] for t in self.top_simplices],
+                             dtype=np.intp)
+            cache.setflags(write=False)
+            object.__setattr__(self, "_top_array_cache", cache)
+        return cache
+
+    @property
     def num_vertices(self) -> int:
         return len(self.vertices)
 

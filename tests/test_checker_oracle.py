@@ -187,7 +187,7 @@ def smooth_metric(complex_, metric):
     def evaluator(g):
         return lambda xi: g * (1.0 + 0.4 * xi[0] + 0.3 * xi[1] ** 2)
     return PiecewiseMetric.from_evaluators(
-        complex_, [evaluator(g) for g in metric.arrays])
+        complex_, [evaluator(g) for g in metric.stack])
 
 
 def random_setup(k, mesh_seed, map_seed, scale, mode, kind="random"):
@@ -318,7 +318,7 @@ def test_metric_stack_and_volumes_match_per_simplex(k, mesh_seed, map_seed,
                                                     scale, mode):
     c, m, _ = random_setup(k, mesh_seed, map_seed, scale, mode)
     assert m.stack.shape == (len(c.top_simplices), c.n, c.n)
-    for i, g in enumerate(m.arrays):
+    for i, g in enumerate(m.stack):
         assert np.array_equal(m.stack[i], g)
         want = math.sqrt(np.linalg.det(g)) / math.factorial(c.n)
         if mode == "smooth":
@@ -365,7 +365,8 @@ def test_batched_spd_check_raises_like_per_array_check(seed, count, kind):
     except NotSPD as exc:
         want = str(exc)
     if want is None:
-        assert _require_spd_stack(stack) is stack
+        assert np.array_equal(_require_spd_stack(stack),
+                              np.linalg.eigvalsh(stack))
     else:
         with pytest.raises(NotSPD) as got:
             _require_spd_stack(stack)

@@ -12,6 +12,7 @@ from polyharm.harmonic import (SolveOptions, assemble_stiffness,
                                weak_harmonic_residual)
 from polyharm.maps import PLMap
 from polyharm.riemannian import PiecewiseMetric
+from polyharm.simplicial import build_complex
 from polyharm.target import flat_target, fubini_study_cp1
 
 RNG = np.random.default_rng(515)
@@ -182,6 +183,33 @@ def test_discrete_maximum_principle_on_nonobtuse_mesh():
     assert vals.min() >= lo - 1e-12 and vals.max() <= hi + 1e-12
 
 
+def test_one_dimensional_complex_assembles():
+    # a path of two edges, lengths 1 and 2: the harmonic function is
+    # affine in arc length
+    c = build_complex([(0.0,), (1.0,), (3.0,)], [(0, 1), (1, 2)])
+    m = PiecewiseMetric.from_embedding(c)
+    assert m.continuity_flag
+    s = assemble_stiffness(c, m)
+    assert np.array_equal(s.S.toarray(), [[1.0, -1.0, 0.0],
+                                          [-1.0, 1.5, -0.5],
+                                          [0.0, -0.5, 0.5]])
+    sol = solve_harmonic_function(s, {0: 0.0, 2: 3.0})
+    assert np.allclose(sol.value_array()[:, 0], [0.0, 1.0, 3.0])
+
+
+def test_discrete_maximum_principle_on_obtuse_mesh():
+    # a vertex near the opposite edge makes the angle there obtuse
+    c = build_complex([(0, 0), (1, 0), (0.5, 0.1), (0.5, -1.0)],
+                      [(0, 1, 2), (0, 1, 3)])
+    s = assemble_stiffness(c, PiecewiseMetric.from_embedding(c))
+    ok, worst = discrete_maximum_principle(s)
+    dense = s.S.toarray()
+    brute = max(max(dense[r, k] for k in range(len(dense)) if k != r)
+                for r in range(len(dense)))
+    assert not ok
+    assert brute > 0.0 and worst == brute
+
+
 def test_subharmonic_pullback_diagnostic():
     c, m = meshes.unit_square_mesh(4)
     s = assemble_stiffness(c, m)
@@ -306,6 +334,6 @@ def test_pinned_interior_vertex_factors_the_free_block():
     sol = solve_harmonic_function(s, bv)
     assert np.array_equal(sol.values[inner], [5.0, -1.0])
     free = np.array([v not in bv for v in s.vertex_order])
-    r = s.S @ s.values_to_array(sol)
+    r = s.S @ sol.value_array(s.vertex_order)
     assert np.abs(r[free]).max() < 1e-12
     assert s.__dict__.get("_interior_lu_cache") is None

@@ -60,7 +60,7 @@ def smooth_metric(complex_, metric):
     def evaluator(g):
         return lambda xi: g * (1.0 + 0.4 * xi[0] + 0.3 * xi[1] ** 2)
     return PiecewiseMetric.from_evaluators(
-        complex_, [evaluator(g) for g in metric.arrays])
+        complex_, [evaluator(g) for g in metric.stack])
 
 
 def random_setup(k, mesh_seed, map_seed, scale, mode):

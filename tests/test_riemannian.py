@@ -51,6 +51,26 @@ def test_ellipticity_rejects_non_spd():
         ellipticity_constant(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entries_are_refused(bad):
+    c, _ = meshes.two_triangles_shared_edge()
+    g = np.array([[bad, 0.0], [0.0, 1.0]])
+    message = "metric has a non-finite entry"
+    with pytest.raises(NotSPD, match=message):
+        ellipticity_constant(g)
+    with pytest.raises(NotSPD, match=message) as err:
+        PiecewiseMetric.from_arrays(c, [np.eye(2), g])
+    assert err.value.index == 1
+    with pytest.raises(NotSPD, match=message):
+        PiecewiseMetric.from_evaluators(c, [lambda xi: np.eye(2),
+                                            lambda xi: g])
+    # finite at the barycenter, infinite elsewhere
+    m = PiecewiseMetric.from_evaluators(
+        c, [lambda xi: np.eye(2), lambda xi: g if xi[0] > 0.5 else np.eye(2)])
+    with pytest.raises(NotSPD, match=message):
+        m.at(1, (0.75, 0.0))
+
+
 # -- volumes --------------------------------------------------------------
 
 def test_unit_right_triangle_volume():
@@ -139,7 +159,7 @@ def test_face_continuity_flag():
     c, m = meshes.two_triangles_shared_edge()
     assert m.continuity_flag  # induced metric always matches across faces
     broken = PiecewiseMetric.from_arrays(
-        c, [m.arrays[0], 4.0 * m.arrays[1]])
+        c, [m.stack[0], 4.0 * m.stack[1]])
     assert not broken.continuity_flag
 
 
