@@ -216,8 +216,7 @@ def cmd_check(args, cfg) -> int:
             fileio.write_csv_table(suite.residuals, args.csv)
     elif args.mode == "factor":
         cov = gallery.build_covering("torus_cover", k=args.k)
-        fam = target_mod.holomorphic_family(n)
-        suite = morphism.factorization_suite(cov, plmap, tgt, fam)
+        suite = morphism.factorization_suite(cov, plmap, tgt, family())
         report["factorization"] = suite.as_dict()
         verdict = suite.passed
     else:

@@ -120,21 +120,6 @@ def samples_from_plmap(complex_, metric: PiecewiseMetric,
     return out
 
 
-def samples_from_analytic(amap, points, metric=None) -> list:
-    """Samples of an analytic map at free real points; identity domain
-    metric unless one is supplied per point."""
-    out = []
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        rows = amap.real_jacobian(p) if hasattr(amap, "real_jacobian") \
-            else amap.jacobian_at(p)
-        g = np.eye(p.shape[0]) if metric is None else metric
-        image = to_complex(amap.value_real(p)) if hasattr(amap, "value_real") \
-            else to_complex(amap.value_at(p))
-        out.append(GradientSample(rows, g, image, ("point", tuple(p))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # residual reports
 # ---------------------------------------------------------------------------

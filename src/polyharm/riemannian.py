@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import DegenerateSimplex, NotSPD, PointOffComplex
+from .errors import DegenerateSimplex, NotSPD, PointOffComplex, UnknownSimplex
 from .simplicial import SimplicialComplex
 
 FACE_MATCH_TOL = 1e-12  # absolute tolerance for metric agreement across faces
@@ -181,8 +181,8 @@ class PiecewiseMetric:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_arrays(cls, complex_, arrays, quadrature_order=1):
-        return cls(complex_, "constant", arrays, None, quadrature_order)
+    def from_arrays(cls, complex_, arrays):
+        return cls(complex_, "constant", arrays)
 
     @classmethod
     def euclidean(cls, complex_):
@@ -380,12 +380,13 @@ def point_on(complex_, top_index, bary) -> PointAddress:
 
 def vertex_address(complex_, v) -> PointAddress:
     """Address of a vertex (carried by the first top simplex containing it)."""
-    for i, t in enumerate(complex_.top_simplices):
-        if v in t:
-            bary = [0.0] * (complex_.n + 1)
-            bary[t.index(v)] = 1.0
-            return PointAddress(i, tuple(bary))
-    raise PointOffComplex(f"vertex {v!r} not on any top simplex")
+    try:
+        i = complex_.star_top((v,))[0]
+    except UnknownSimplex:
+        raise PointOffComplex(f"vertex {v!r} not on any top simplex")
+    bary = [0.0] * (complex_.n + 1)
+    bary[complex_.top_simplices[i].index(v)] = 1.0
+    return PointAddress(i, tuple(bary))
 
 
 @dataclass(frozen=True)
@@ -464,12 +465,10 @@ def intrinsic_distance(complex_, metric, x, y, refinement_level=3) -> DistanceEs
         top = complex_.top_simplices[addr.top_index]
         support = tuple(v for v, b in zip(top, addr.bary) if b > 1e-12)
         nid = len(node_ids) + len(extra)
-        carriers = []
-        for idx2, t2 in enumerate(complex_.top_simplices):
-            if set(support) <= set(t2):
-                bmap = dict(zip(top, addr.bary))
-                xi2 = np.array([bmap.get(v, 0.0) for v in t2[1:]])
-                carriers.append((idx2, xi2))
+        bmap = dict(zip(top, addr.bary))
+        carriers = [(idx2, np.array([bmap.get(v, 0.0)
+                                     for v in complex_.top_simplices[idx2][1:]]))
+                    for idx2 in complex_.star_top(support)]
         extra.append((label, nid, carriers))
 
     for idx, pts in node_ref.items():

@@ -99,6 +99,18 @@ class SimplicialComplex:
         return cache
 
     @property
+    def _vertex_tops(self):
+        """Vertex id -> set of indices of the top simplices containing it."""
+        cache = self.__dict__.get("_vertex_tops_cache")
+        if cache is None:
+            cache = {}
+            for i, t in enumerate(self.top_simplices):
+                for v in t:
+                    cache.setdefault(v, set()).add(i)
+            object.__setattr__(self, "_vertex_tops_cache", cache)
+        return cache
+
+    @property
     def num_vertices(self) -> int:
         return len(self.vertices)
 
@@ -127,24 +139,21 @@ class SimplicialComplex:
         sorted by dimension then lexicographically.  The given simplex is
         a member of its own star.
         """
-        s = tuple(sorted(simplex))
-        if not self.has_face(s):
-            raise UnknownSimplex(f"{s} is not a simplex of the complex")
-        key = set(s)
-        out = []
-        for dim in sorted(self.faces):
-            if dim < len(s) - 1:
-                continue
-            out.extend(t for t in sorted(self.faces[dim]) if key.issubset(t))
-        return out
+        key = set(simplex)
+        out = {f for i in self.star_top(simplex)
+               for k in range(len(key), self.n + 2)
+               for f in combinations(self.top_simplices[i], k)
+               if key.issubset(f)}
+        return sorted(out, key=lambda f: (len(f), f))
 
     def star_top(self, simplex):
-        """Indices of the top simplices in the star of ``simplex``."""
+        """Indices, ascending, of the top simplices in the star of
+        ``simplex``: the tops that contain it."""
         s = tuple(sorted(simplex))
         if not self.has_face(s):
             raise UnknownSimplex(f"{s} is not a simplex of the complex")
-        key = set(s)
-        return [i for i, t in enumerate(self.top_simplices) if key.issubset(t)]
+        first, *rest = (self._vertex_tops[v] for v in s)
+        return sorted(first.intersection(*rest))
 
     def link(self, vertex) -> "SimplicialComplex":
         """Combinatorial link of a vertex, as a complex of dimension n-1.
@@ -157,8 +166,8 @@ class SimplicialComplex:
         """
         if vertex not in self.vertices:
             raise UnknownVertex(f"vertex {vertex!r} does not exist")
-        tops = [tuple(w for w in t if w != vertex)
-                for t in self.top_simplices if vertex in t]
+        tops = [tuple(w for w in self.top_simplices[i] if w != vertex)
+                for i in self.star_top((vertex,))]
         verts = {v: self.vertices[v] for t in tops for v in t}
         return _derive(self.n - 1, verts, tuple(sorted(set(tops))))
 
@@ -269,28 +278,24 @@ def _check_connected(complex_: SimplicialComplex):
     for a, b in complex_.faces[1]:
         adj[a].add(b)
         adj[b].add(a)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    seen = _reachable(verts[0], adj.__getitem__)
     if len(seen) != len(verts):
         raise Disconnected(
             f"1-skeleton splits; e.g. vertex {next(iter(set(verts) - seen))!r} unreachable"
         )
 
 
-def star(complex_: SimplicialComplex, simplex):
-    """Open star of a simplex; see :meth:`SimplicialComplex.star`."""
-    return complex_.star(simplex)
-
-
-def link(complex_: SimplicialComplex, vertex) -> SimplicialComplex:
-    """Combinatorial link of a vertex; see :meth:`SimplicialComplex.link`."""
-    return complex_.link(vertex)
+def _reachable(start, neighbours) -> set:
+    """Nodes reachable from ``start`` (depth-first); ``neighbours(node)``
+    iterates the nodes adjacent to ``node``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in neighbours(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def check_admissible(complex_: SimplicialComplex) -> AdmissibilityReport:
@@ -321,23 +326,17 @@ def check_admissible(complex_: SimplicialComplex) -> AdmissibilityReport:
 
 
 def _star_chainable(complex_, sigma, tops) -> bool:
-    """Connectivity of star tops through shared (n-1)-faces containing sigma."""
+    """Connectivity of star tops through shared (n-1)-faces containing sigma.
+
+    The (n-1)-faces of top t through sigma are t minus one vertex w not in
+    sigma; the tops sharing such a face are its ``cofaces``.
+    """
     key = set(sigma)
-    n = complex_.n
-    adj = {i: set() for i in tops}
-    for i_pos, i in enumerate(tops):
-        for j in tops[i_pos + 1:]:
-            shared = set(complex_.top_simplices[i]) & set(complex_.top_simplices[j])
-            if len(shared) >= n and key.issubset(shared):
-                # shared vertex set contains an (n-1)-face through sigma
-                adj[i].add(j)
-                adj[j].add(i)
-    seen = {tops[0]}
-    stack = [tops[0]]
-    while stack:
-        t = stack.pop()
-        for u in adj[t]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(tops)
+
+    def neighbours(i):
+        t = complex_.top_simplices[i]
+        for w in t:
+            if w not in key:
+                yield from complex_.cofaces[tuple(v for v in t if v != w)]
+
+    return len(_reachable(tops[0], neighbours)) == len(tops)

@@ -185,6 +185,32 @@ def test_user_polynomial_family_file(square_files, tmp_path, capsys):
     assert json.loads(out)["phm"]["verdict"]
 
 
+def test_check_factor_reads_functions(square_files, tmp_path, capsys):
+    _, mesh, map_path, _ = square_files
+    code, out, _ = run(capsys, "check", "--mode", "factor", mesh, map_path)
+    plain = json.loads(out)["factorization"]
+    fam = tmp_path / "fns.json"
+    json.dump([{"n": 1, "exponents": [[3]], "coefficients": [[1.0, 0.0]],
+                "name": "cubic"}], open(fam, "w"))
+    code_f, out_f, _ = run(capsys, "check", "--mode", "factor", mesh,
+                           map_path, "--functions", str(fam))
+    assert code_f == code == 0
+    with_cubic = json.loads(out_f)["factorization"]
+    # the via-functions residual is a max over the family: the added cubic
+    # can only raise it, and on the identity map it does
+    for side in ("base", "total"):
+        got = with_cubic[side]["via_functions"]
+        want = plain[side]["via_functions"]
+        assert all(a >= b for a, b in zip(got["per_sample"],
+                                           want["per_sample"]))
+        assert got["inf"] > want["inf"]
+    code, out, err = run(capsys, "check", "--mode", "factor", mesh, map_path,
+                         "--functions", str(tmp_path / "missing.json"))
+    assert code == 64
+    assert out == ""
+    assert "file not found" in err
+
+
 def test_user_polynomial_file_malformed(tmp_path):
     bad = tmp_path / "f.json"
     json.dump([{"n": 1, "exponents": [[1]], "coefficients": []}],

@@ -4,7 +4,7 @@ from polyharm import meshes
 from polyharm.errors import (DanglingVertexRef, Disconnected,
                              DuplicateSimplex, MixedDimension,
                              UnknownSimplex, UnknownVertex)
-from polyharm.simplicial import build_complex, check_admissible, link, star
+from polyharm.simplicial import build_complex, check_admissible
 
 TRI = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
@@ -56,18 +56,18 @@ def test_unused_vertex_rejected():
 
 def test_star_of_top_simplex_is_itself():
     c = build_complex(TRI, [(0, 1, 2)])
-    assert star(c, (0, 1, 2)) == [(0, 1, 2)]
+    assert c.star((0, 1, 2)) == [(0, 1, 2)]
 
 
 def test_star_of_interior_edge():
     c, _ = meshes.two_triangles_shared_edge()
-    assert star(c, (1, 2)) == [(1, 2), (0, 1, 2), (1, 2, 3)]
+    assert c.star((1, 2)) == [(1, 2), (0, 1, 2), (1, 2, 3)]
 
 
 def test_star_of_fan_apex():
     # closed 5-triangle fan: star of the apex = vertex + 5 spokes + 5 triangles
     c = meshes.triangle_fan(5)
-    got = star(c, (0,))
+    got = c.star((0,))
     # oracle: brute-force cofaces over the whole lattice
     oracle = [f for f in c.all_faces() if 0 in f]
     assert got == oracle
@@ -79,24 +79,24 @@ def test_star_of_fan_apex():
 def test_star_unknown_simplex():
     c = build_complex(TRI, [(0, 1, 2)])
     with pytest.raises(UnknownSimplex):
-        star(c, (0, 7))
+        c.star((0, 7))
 
 
 def test_star_monotone_under_face_inclusion():
     c = meshes.triangle_fan(4)
     faces = list(c.all_faces())
     for sigma in faces:
-        st_sigma = set(star(c, sigma))
+        st_sigma = set(c.star(sigma))
         for tau in faces:
             if set(sigma) <= set(tau):
-                assert set(star(c, tau)) <= st_sigma
+                assert set(c.star(tau)) <= st_sigma
 
 
 # -- links --------------------------------------------------------------
 
 def test_link_of_interior_vertex_is_cycle():
     c = meshes.triangle_fan(5)
-    lk = link(c, 0)
+    lk = c.link(0)
     assert lk.n == 1
     assert len(lk.vertices) == 5
     assert len(lk.top_simplices) == 5
@@ -109,13 +109,13 @@ def test_link_of_interior_vertex_is_cycle():
 
 def test_link_of_boundary_vertex_single_edge():
     c = build_complex(TRI, [(0, 1, 2)])
-    lk = link(c, 0)
+    lk = c.link(0)
     assert lk.top_simplices == ((1, 2),)
 
 
 def test_link_of_cone_apex_is_hexagon():
     c = meshes.cone_over_polygon(6)
-    lk = link(c, 0)
+    lk = c.link(0)
     # oracle: enumerate faces opposite the apex in each incident triangle
     oracle = sorted(tuple(v for v in t if v != 0)
                     for t in c.top_simplices if 0 in t)
@@ -126,7 +126,7 @@ def test_link_of_cone_apex_is_hexagon():
 def test_link_unknown_vertex():
     c = build_complex(TRI, [(0, 1, 2)])
     with pytest.raises(UnknownVertex):
-        link(c, 99)
+        c.link(99)
 
 
 def test_link_interior_vertex_connected_in_admissible_complex():
@@ -134,7 +134,7 @@ def test_link_interior_vertex_connected_in_admissible_complex():
     assert check_admissible(c).admissible
     interior = set(c.vertices) - c.boundary_vertices()
     for v in interior:
-        lk = link(c, v)
+        lk = c.link(v)
         seen = {next(iter(lk.vertices))}
         stack = list(seen)
         adj = {u: set() for u in lk.vertices}
