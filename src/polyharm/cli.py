@@ -44,6 +44,8 @@ class RunConfig:
                 raise UsageError(f"{name} must be positive")
         if self.max_iter < 1:
             raise UsageError("max_iter must be at least 1")
+        if not 0 < self.damping <= 1:
+            raise UsageError("damping must be in (0, 1]")
         return self
 
 

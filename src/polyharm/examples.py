@@ -78,11 +78,12 @@ class HomogeneousPolynomial:
         return sum(next(iter(self.coeffs)))
 
     def __call__(self, z) -> complex:
-        return _poly_value(self.coeffs.items(), np.asarray(z, dtype=complex))
+        return _poly_value(self.coeffs.items(),
+                           np.asarray(z, dtype=complex)[None])[0]
 
     def grad(self, z) -> np.ndarray:
         return _poly_grad(self.coeffs.items(), self.m,
-                          np.asarray(z, dtype=complex))
+                          np.asarray(z, dtype=complex)[None])[0]
 
     def conjugated(self) -> "HomogeneousPolynomial":
         """Polynomial with conjugated coefficients."""

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import splu, lsmr
 
 from .errors import (ImageLeftChart, MissingBoundaryValues, NonConvergence,
                      NotAdmissible, SingularSystem, UsageError)
-from .maps import PLMap
+from .maps import PLMap, _simplex_stacks
 from .riemannian import (PiecewiseMetric, quadrature_sum, simplex_rule,
                          simplex_volume)
 from .simplicial import SimplicialComplex, check_admissible
@@ -132,26 +132,27 @@ def assemble_stiffness(complex_: SimplicialComplex,
 # loads and residuals
 # ---------------------------------------------------------------------------
 
-def christoffel_load(system: StiffnessSystem, target, plmap: PLMap) -> np.ndarray:
-    """Per-vertex Christoffel load (num_vertices x 2n).
+def christoffel_load(system: StiffnessSystem, target, values) -> np.ndarray:
+    """Per-vertex Christoffel load (num_vertices x 2n) of a PLMap or of
+    its vertex values, an array in ``vertex_order``.
 
     load_k(p) = sum over simplices of
     Gamma^k_ab(phi(bary)) <grad phi^a, grad phi^b> * integral of hat_p.
 
-    Gamma is evaluated image by image in simplex order, so the first
-    simplex whose barycenter image leaves the chart is the one reported.
+    Gamma is evaluated once, over the stack of barycenter images.  The
+    first simplex whose image leaves the chart (ImageLeftChart) or has
+    non-finite symbols (TargetMetricSingular) is the one reported.
     """
     cx, metric = system.complex, system.metric
     n = cx.n
-    idx = np.arange(len(cx.top_simplices))
-    diffs = plmap.differential(idx)                        # (T, d, n)
-    images = plmap.value_at(idx, np.full(n, 1.0 / (n + 1)))
+    w0, diffs = (values._stacks() if isinstance(values, PLMap)
+                 else _simplex_stacks(values, cx.top_array))
+    images = w0 + diffs @ np.full(n, 1.0 / (n + 1))
     pairing = np.einsum("tai,tij,tbj->tab", diffs, metric.inverse, diffs)
-    gammas = np.empty(images.shape + pairing.shape[1:])
-    for s_i, image in enumerate(images):
-        if target.chart_contains is not None and not target.chart_contains(image):
-            raise ImageLeftChart(f"image {image} outside chart on simplex {s_i}")
-        gammas[s_i] = target.christoffel(image)
+    gammas = target._christoffel_prefix(images, " on simplex {}")
+    if len(gammas) < len(images):
+        raise ImageLeftChart(f"image {images[len(gammas)]} outside chart on "
+                             f"simplex {len(gammas)}")
     coef = np.einsum("tkab,tab->tk", gammas, pairing)
     share = coef * metric.volumes[:, None] / (n + 1)
     out = np.zeros((len(system.vertex_order), images.shape[1]))
@@ -313,8 +314,8 @@ def solve_harmonic_function(system: StiffnessSystem, boundary_values) -> PLMap:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Picard budget, stopping tolerance and initial damping; ``max_iter``
-    must be at least 1."""
+    """Picard budget (at least 1), stopping tolerance (finite, positive)
+    and initial damping (in (0, 1]); other values raise UsageError."""
 
     max_iter: int = 200
     tol: float = 1e-8
@@ -324,6 +325,11 @@ class SolveOptions:
         if self.max_iter < 1:
             raise UsageError(
                 f"max_iter must be at least 1, got {self.max_iter}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise UsageError(
+                f"tol must be finite and positive, got {self.tol}")
+        if not 0 < self.damping <= 1:
+            raise UsageError(f"damping must be in (0, 1], got {self.damping}")
 
 
 def solve_harmonic_map(system: StiffnessSystem, target, boundary_values,
@@ -333,8 +339,9 @@ def solve_harmonic_map(system: StiffnessSystem, target, boundary_values,
     Flat targets reduce to a single linear solve.  Otherwise iterate
     u <- (1-d) u + d S^{-1} load(u) on interior rows until the weak
     residual infinity-norm is below ``opts.tol``; the damping is halved
-    adaptively when the residual increases.  Raises NonConvergence with
-    the residual history when the budget is exhausted.
+    adaptively when the residual increases.  The iterate stays an array;
+    only the solution becomes a PLMap.  Raises NonConvergence with the
+    residual history when the budget is exhausted.
     """
     if target is None or target.is_flat:
         return solve_harmonic_function(system, boundary_values)
@@ -343,9 +350,7 @@ def solve_harmonic_map(system: StiffnessSystem, target, boundary_values,
     free = np.where(~pin_mask)[0]
     pinned = np.where(pin_mask)[0]
     if free.size == 0:
-        plmap = PLMap(system.complex,
-                      {v: vals[i] for i, v in enumerate(system.vertex_order)})
-        return plmap
+        return PLMap(system.complex, dict(zip(system.vertex_order, vals)))
 
     s_ib = system.S[np.ix_(free, pinned)]
     lu = _free_lu(system, ~pin_mask)
@@ -354,20 +359,15 @@ def solve_harmonic_map(system: StiffnessSystem, target, boundary_values,
     u = vals.copy()
     u[free] = lu.solve(-pinned_rhs) if pinned.size else 0.0
 
-    def plmap_of(arr):
-        return PLMap(system.complex,
-                     {v: arr[i] for i, v in enumerate(system.vertex_order)})
-
     history = []
     damping = opts.damping
     best = None
     for _ in range(opts.max_iter):
-        pm = plmap_of(u)
-        load = christoffel_load(system, target, pm)
+        load = christoffel_load(system, target, u)
         inf = float(np.abs(_interior_residual(system, u, load)).max())
         history.append(inf)
         if inf <= opts.tol:
-            return pm
+            return PLMap(system.complex, dict(zip(system.vertex_order, u)))
         if best is not None and inf > best * (1.0 + 1e-12):
             damping = max(damping * 0.5, 1e-3)
         else:

@@ -54,10 +54,8 @@ class PLMap:
         and (T, d, n) differentials, built once."""
         cache = self.__dict__.get("_stack_cache")
         if cache is None:
-            corners = self.value_array()[self.complex.top_array]
-            diffs = np.ascontiguousarray(
-                (corners[:, 1:] - corners[:, :1]).swapaxes(1, 2))
-            cache = (np.ascontiguousarray(corners[:, 0]), diffs)
+            cache = _simplex_stacks(self.value_array(),
+                                    self.complex.top_array)
             for arr in cache:
                 arr.setflags(write=False)
             object.__setattr__(self, "_stack_cache", cache)
@@ -119,6 +117,15 @@ class PLMap:
             w = np.atleast_1d(np.asarray(fn(c), dtype=complex))
             return np.concatenate([w.real, w.imag])
         return cls.from_function(complex_, real_fn)
+
+
+def _simplex_stacks(values, tops):
+    """PLMap's stacks from (V, d) values in sorted vertex order and the
+    (T, n+1) ``top_array``; contiguous, so images round alike."""
+    corners = values[tops]
+    diffs = np.ascontiguousarray(
+        (corners[:, 1:] - corners[:, :1]).swapaxes(1, 2))
+    return np.ascontiguousarray(corners[:, 0]), diffs
 
 
 def differential(plmap: PLMap, idx) -> np.ndarray:

@@ -265,28 +265,51 @@ def phwc_via_functions(samples, fn_family, tol=DEFAULT_TOL_C) -> ResidualReport:
 
     The family must contain at least the coordinates, the pair sums and
     the products z_A z_B, i z_A z_B: coordinates alone miss cross-pair
-    violations.  Jacobians and values of the family are evaluated sample
-    by sample, so the first pole is the one reported; the composed Grams
-    are then taken in one batch per family member.
+    violations.  Built-in members are evaluated over the whole sample
+    stack, others sample by sample, and the first error is the loop's (see
+    ``_family_jacobians``); the Grams are taken in one batch per member.
     """
     hols = [_as_map(f) for f in fn_family]
 
     def values(grams, points):
-        jacs = [[] for _ in hols]
-        for s, point in zip(samples, points):
-            for hol, jac in zip(hols, jacs):
-                jac.append(_checked_jacobian(hol, point, s.rows.shape[0]))
-                hol.value_complex(s.image)
+        jacs = _family_jacobians(hols, samples, points)
         rows = _stacked((s.rows for s in samples), "gradients")
         metrics = _stacked((s.metric for s in samples), "metrics")
         worst = np.zeros(len(samples))
         for jac in jacs:
-            comp = np.stack(jac) @ rows
+            comp = jac @ rows
             gram = comp @ np.linalg.solve(metrics, comp.swapaxes(1, 2))
             worst = np.fmax(worst, _phwc_values(gram))
         return worst
 
     return _residual_report("phwc_via_functions", samples, tol, values)
+
+
+def _family_jacobians(hols, samples, points) -> list:
+    """(S, 2p, 2n) real Jacobians of each member at the (S, 2n) points:
+    over the whole stack for built-in functions, else sample by sample.
+    A non-finite stack sends every member down the sample-by-sample loop,
+    whose first error (samples, then members in order, a Jacobian before
+    its value) is the one raised."""
+    base_rows = samples[0].rows.shape[0]
+    z = to_complex(points)
+    jacs = []
+    for hol in hols:
+        stack = hol.components[0]._stack(z) if hol.p == 1 else None
+        if stack is None or stack[1].shape[2] != base_rows:
+            jacs.append([])
+        elif np.isfinite(stack[0]).all() and np.isfinite(stack[1]).all():
+            jacs.append(stack[1])
+        else:
+            jacs = [[] for _ in hols]
+            break
+    per_point = [(hol, jac) for hol, jac in zip(hols, jacs)
+                 if isinstance(jac, list)]
+    for s, point in enumerate(points if per_point else ()):
+        for hol, jac in per_point:
+            jac.append(_checked_jacobian(hol, point, base_rows))
+            hol.value_complex(samples[s].image)
+    return [np.stack(jac) if isinstance(jac, list) else jac for jac in jacs]
 
 
 def _as_map(f):

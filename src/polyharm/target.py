@@ -6,8 +6,8 @@ J dx_A = dy_A, J dy_A = -dx_A.  Built-ins: the flat chart of C^n and the
 affine chart of the complex projective line with the Fubini-Study metric.
 
 Holomorphic functions carry closed-form complex derivatives where possible;
-generic callables fall back to central finite differences.  All evaluators
-are pure and concurrently safe.
+generic callables fall back to central finite differences.  Built-ins take
+stacks of points; all evaluators are pure and concurrently safe.
 """
 
 from __future__ import annotations
@@ -40,6 +40,27 @@ def to_real(z) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
 
 
+@dataclass(frozen=True)
+class _Stacked:
+    """A built-in evaluator: ``stack`` takes a stack of points (leading
+    axis); a call at one point evaluates a stack of one."""
+
+    stack: callable
+
+    def __call__(self, p):
+        return self.stack(np.asarray(p)[None])[0]
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b elementwise with the rounding of numpy's scalar complex
+    product: array products may fuse multiply-adds, scalar ones do not."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 # ---------------------------------------------------------------------------
 # charted targets
 # ---------------------------------------------------------------------------
@@ -51,7 +72,9 @@ class ChartedTarget:
     ``metric(p)`` returns the 2n x 2n SPD array at the real chart point p;
     ``christoffel_fn(p)`` the (2n, 2n, 2n) array Gamma[k, a, b], symmetric
     in (a, b).  When ``christoffel_fn`` is None a finite-difference
-    Levi-Civita evaluator derived from the metric is used.
+    Levi-Civita evaluator derived from the metric is used.  Built-in
+    targets take a stack of points in one call, other callables one point
+    at a time.
     """
 
     n: int
@@ -72,21 +95,15 @@ class ChartedTarget:
         """The 2n x 2n metric at the chart point p, or the (k, 2n, 2n)
         stack at a (k, 2n) stack of points.
 
-        Points are checked against the chart and passed to ``metric`` one
-        by one in order, up to the first one outside the chart; the values
-        are then checked finite and positive definite in one batch.  The
-        first failing point raises ChartBoundary or TargetMetricSingular.
+        ``metric`` is evaluated at the points before the first one outside
+        the chart (see ``_chart_prefix``); the values are then checked
+        finite and positive definite in one batch.  The first failing
+        point raises ChartBoundary or TargetMetricSingular.
         """
         p = np.asarray(p, dtype=float)
         points = p if p.ndim == 2 else p[None]
-        hs = []
-        for q in points:
-            if not self._in_chart(q):
-                break
-            hs.append(np.asarray(self.metric(q), dtype=float))
-        h = np.empty((0, p.shape[-1], p.shape[-1]))
-        if hs:
-            h = np.stack(hs)
+        h = self._chart_prefix(self.metric, points, 2)
+        if len(h):
             finite = np.isfinite(h).all(axis=(1, 2))
             sym = np.where(finite[:, None, None], 0.5 * (h + h.swapaxes(1, 2)),
                            np.eye(h.shape[1]))
@@ -95,18 +112,55 @@ class ChartedTarget:
                 raise TargetMetricSingular(
                     f"{self.name} metric singular at chart point "
                     f"{points[np.argmax(bad)]}")
-        if len(hs) < len(points):
-            self._check_chart(points[len(hs)])
+        if len(h) < len(points):
+            self._check_chart(points[len(h)])
         return h if p.ndim == 2 else h[0]
 
     def inverse_metric_at(self, p) -> np.ndarray:
         return np.linalg.inv(self.metric_at(p))
 
     def christoffel(self, p) -> np.ndarray:
-        self._check_chart(p)
-        if self.christoffel_fn is not None:
-            return np.asarray(self.christoffel_fn(np.asarray(p, dtype=float)))
-        return christoffel_fd(self.metric_at, p, self.fd_step)
+        """Gamma[k, a, b] at the chart point p, or the (k, 2n, 2n, 2n)
+        stack at a (k, 2n) stack of points, checked like ``metric_at``:
+        the first failing point raises ChartBoundary or (symbols not
+        finite) TargetMetricSingular."""
+        p = np.asarray(p, dtype=float)
+        points = p if p.ndim == 2 else p[None]
+        gamma = self._christoffel_prefix(points)
+        if len(gamma) < len(points):
+            self._check_chart(points[len(gamma)])
+        return gamma if p.ndim == 2 else gamma[0]
+
+    def _christoffel_prefix(self, points, where="") -> np.ndarray:
+        """Symbols at the points before the first outside the chart; the
+        first non-finite raises TargetMetricSingular, + where.format(i)."""
+        fn = self.christoffel_fn or (
+            lambda q: christoffel_fd(self.metric_at, q, self.fd_step))
+        gamma = self._chart_prefix(fn, points, 3)
+        bad = ~np.isfinite(gamma).all(axis=(1, 2, 3))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise TargetMetricSingular(
+                f"{self.name} Christoffel symbols not finite at chart point "
+                f"{points[i]}" + where.format(i))
+        return gamma
+
+    def _chart_prefix(self, fn, points, rank) -> np.ndarray:
+        """``fn`` at the (k, 2n) points before the first one outside the
+        chart, stacked: in one call for a built-in, else point by point,
+        each after its chart check (rank: of one value, for k = 0)."""
+        if isinstance(fn, _Stacked):
+            k = len(points) if self.chart_contains is None else next(
+                (i for i, q in enumerate(points) if not self._in_chart(q)),
+                len(points))
+            return np.asarray(fn.stack(points[:k]), dtype=float)
+        values = []
+        for q in points:
+            if not self._in_chart(q):
+                break
+            values.append(np.asarray(fn(q), dtype=float))
+        return (np.stack(values) if values
+                else np.empty((0,) + (points.shape[-1],) * rank))
 
     def _in_chart(self, p) -> bool:
         return self.chart_contains is None or bool(
@@ -183,12 +237,11 @@ def christoffel_fd(metric_at, p, step=1e-6) -> np.ndarray:
 
 def flat_target(n: int) -> ChartedTarget:
     """C^n with the euclidean metric; all Christoffel symbols vanish."""
-    eye = np.eye(2 * n)
-    zeros = np.zeros((2 * n, 2 * n, 2 * n))
+    m = 2 * n
     return ChartedTarget(
         n=n,
-        metric=lambda p: eye,
-        christoffel_fn=lambda p: zeros,
+        metric=_Stacked(lambda p: np.tile(np.eye(m), (len(p), 1, 1))),
+        christoffel_fn=_Stacked(lambda p: np.zeros((len(p), m, m, m))),
         is_flat=True,
         name=f"flat:{n}",
     )
@@ -203,27 +256,23 @@ def fubini_study_cp1() -> ChartedTarget:
     bounded distance from the pole.
     """
 
-    eye = np.eye(2)
-
-    # coordinates as Python floats: the same IEEE arithmetic as numpy
-    # scalars, with less overhead per point
     def metric(p):
-        x, y = np.asarray(p, dtype=float).tolist()
-        return eye / (1.0 + x * x + y * y) ** 2
+        x, y = np.asarray(p, dtype=float).T
+        # libm's pow like Python's float ** 2; an array's ** 2 squares
+        denom = np.float_power(1.0 + x * x + y * y, 2)
+        return np.eye(2) / denom[:, None, None]
 
     def christoffel(p):
         # conformal metric exp(2 rho) I with rho = -log(1 + r^2)
-        x, y = np.asarray(p, dtype=float).tolist()
+        x, y = np.asarray(p, dtype=float).T
         denom = 1.0 + x * x + y * y
         rx = -2.0 * x / denom
         ry = -2.0 * y / denom
-        g = np.empty((2, 2, 2))
-        g[0] = [[rx, ry], [ry, -rx]]
-        g[1] = [[-ry, rx], [rx, ry]]
-        return g
+        return np.stack([rx, ry, ry, -rx, -ry, rx, rx, ry],
+                        axis=-1).reshape(-1, 2, 2, 2)
 
-    return ChartedTarget(n=1, metric=metric, christoffel_fn=christoffel,
-                         name="cp1")
+    return ChartedTarget(n=1, metric=_Stacked(metric),
+                         christoffel_fn=_Stacked(christoffel), name="cp1")
 
 
 def christoffel(target: ChartedTarget, p) -> np.ndarray:
@@ -275,15 +324,28 @@ class HolomorphicFunction:
     def real_jacobian(self, p) -> np.ndarray:
         """(2 x 2n) real Jacobian rows (d f1; d f2) in the
         (x_1..x_n, y_1..y_n) basis, derived from the complex gradient."""
-        g = self.grad(to_complex(p))
-        # rows d f1 = (Re g, -Im g) and d f2 = (Im g, Re g)
-        return np.concatenate([g.real, -g.imag, g.imag, g.real]).reshape(2, -1)
+        return _real_rows(self.grad(to_complex(p)))
+
+    def _stack(self, z):
+        """Values (k,) and real Jacobians (k, 2, 2n) at a (k, n) complex
+        stack; None unless fn and dz are built-ins and z has n columns."""
+        if (isinstance(self.fn, _Stacked) and isinstance(self.dz, _Stacked)
+                and z.shape[1] == self.n):
+            return self.fn.stack(z), _real_rows(self.dz.stack(z))
+
+
+def _real_rows(g) -> np.ndarray:
+    """Real Jacobian rows d f1 = (Re g, -Im g) and d f2 = (Im g, Re g) of
+    complex gradients, (..., n) -> (..., 2, 2n)."""
+    return np.concatenate([g.real, -g.imag, g.imag, g.real],
+                          axis=-1).reshape(g.shape[:-1] + (2, -1))
 
 
 def coordinate(n, a, name=None) -> HolomorphicFunction:
     e = np.zeros(n, dtype=complex)
     e[a] = 1.0
-    return HolomorphicFunction(n, lambda z: z[a], lambda z: e,
+    return HolomorphicFunction(n, _Stacked(lambda z: z[:, a]),
+                               _Stacked(lambda z: np.tile(e, (len(z), 1))),
                                name=name or f"z{a + 1}")
 
 
@@ -291,23 +353,24 @@ def pair_sum(n, k, l) -> HolomorphicFunction:
     e = np.zeros(n, dtype=complex)
     e[k] += 1.0
     e[l] += 1.0
-    return HolomorphicFunction(n, lambda z: z[k] + z[l], lambda z: e,
+    return HolomorphicFunction(n, _Stacked(lambda z: z[:, k] + z[:, l]),
+                               _Stacked(lambda z: np.tile(e, (len(z), 1))),
                                name=f"z{k + 1}+z{l + 1}")
 
 
 def product(n, a, b, factor=1.0, name=None) -> HolomorphicFunction:
     def fn(z):
-        return factor * z[a] * z[b]
+        return _cmul(_cmul(factor, z[:, a]), z[:, b])
 
     def dz(z):
-        g = np.zeros(n, dtype=complex)
-        g[a] += factor * z[b]
-        g[b] += factor * z[a]
+        g = np.zeros((len(z), n), dtype=complex)
+        g[:, a] += _cmul(factor, z[:, b])
+        g[:, b] += _cmul(factor, z[:, a])
         return g
 
     if name is None:
         name = f"z{a + 1}z{b + 1}" if factor == 1.0 else f"iz{a + 1}z{b + 1}"
-    return HolomorphicFunction(n, fn, dz, name=name)
+    return HolomorphicFunction(n, _Stacked(fn), _Stacked(dz), name=name)
 
 
 def i_product(n, a, b) -> HolomorphicFunction:
@@ -317,25 +380,28 @@ def i_product(n, a, b) -> HolomorphicFunction:
 def polynomial(n, coeffs, name="poly") -> HolomorphicFunction:
     """Polynomial sum_c coeffs[c] * z^c with c an exponent tuple."""
     items = [(tuple(c), complex(v)) for c, v in coeffs.items()]
-    return HolomorphicFunction(n, lambda z: _poly_value(items, z),
-                               lambda z: _poly_grad(items, n, z), name=name)
+    return HolomorphicFunction(n, _Stacked(lambda z: _poly_value(items, z)),
+                               _Stacked(lambda z: _poly_grad(items, n, z)),
+                               name=name)
 
 
-def _poly_value(items, z):
-    """sum of v * z^c over the (exponent tuple c, coefficient v) items."""
-    return sum(v * np.prod(z ** np.array(c)) for c, v in items)
+def _poly_value(items, z) -> np.ndarray:
+    """sum of v * z^c over the (exponent tuple c, coefficient v) items, at
+    each row of the (k, n) complex stack z."""
+    return sum((_cmul(v, np.prod(z ** np.array(c), axis=-1))
+                for c, v in items), np.zeros(len(z), dtype=complex))
 
 
 def _poly_grad(items, n, z) -> np.ndarray:
-    """Complex gradient (d/dz_1 .. d/dz_n) of _poly_value(items, z)."""
-    g = np.zeros(n, dtype=complex)
+    """(k, n) complex gradients d/dz_A of _poly_value(items, z)."""
+    g = np.zeros((len(z), n), dtype=complex)
     for c, v in items:
         for a in range(n):
             if c[a] == 0:
                 continue
             cc = np.array(c)
             cc[a] -= 1
-            g[a] += v * c[a] * np.prod(z ** cc)
+            g[:, a] += _cmul(v * c[a], np.prod(z ** cc, axis=-1))
     return g
 
 

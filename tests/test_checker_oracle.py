@@ -23,9 +23,10 @@ from polyharm.morphism import GradientSample, ResidualReport, _as_map
 from polyharm.riemannian import (PiecewiseMetric, _require_spd,
                                  _require_spd_stack, simplex_rule,
                                  simplex_volume)
-from polyharm.target import (ChartedTarget, complex_structure, coordinate,
-                             flat_target, fubini_study_cp1,
-                             holomorphic_family, polynomial, rational,
+from polyharm.target import (ChartedTarget, HolomorphicFunction,
+                             complex_structure, coordinate, flat_target,
+                             fubini_study_cp1, holomorphic_family, i_product,
+                             pair_sum, polynomial, product, rational,
                              to_complex)
 
 
@@ -448,3 +449,171 @@ def test_first_pole_in_family_matches_oracle(k, mesh_seed, map_seed, scale,
     with pytest.raises(PoleAtPoint) as got:
         morphism.phwc_via_functions(samples, family)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the family's stack forms against the per-point closures they replaced
+# ---------------------------------------------------------------------------
+
+def oracle_coordinate(n, a, name=None) -> HolomorphicFunction:
+    e = np.zeros(n, dtype=complex)
+    e[a] = 1.0
+    return HolomorphicFunction(n, lambda z: z[a], lambda z: e,
+                               name=name or f"z{a + 1}")
+
+
+def oracle_pair_sum(n, k, l) -> HolomorphicFunction:
+    e = np.zeros(n, dtype=complex)
+    e[k] += 1.0
+    e[l] += 1.0
+    return HolomorphicFunction(n, lambda z: z[k] + z[l], lambda z: e,
+                               name=f"z{k + 1}+z{l + 1}")
+
+
+def oracle_product(n, a, b, factor=1.0, name=None) -> HolomorphicFunction:
+    def fn(z):
+        return factor * z[a] * z[b]
+
+    def dz(z):
+        g = np.zeros(n, dtype=complex)
+        g[a] += factor * z[b]
+        g[b] += factor * z[a]
+        return g
+
+    if name is None:
+        name = f"z{a + 1}z{b + 1}" if factor == 1.0 else f"iz{a + 1}z{b + 1}"
+    return HolomorphicFunction(n, fn, dz, name=name)
+
+
+def oracle_polynomial(n, coeffs, name="poly") -> HolomorphicFunction:
+    """Polynomial sum_c coeffs[c] * z^c with c an exponent tuple."""
+    items = [(tuple(c), complex(v)) for c, v in coeffs.items()]
+    return HolomorphicFunction(n, lambda z: oracle_poly_value(items, z),
+                               lambda z: oracle_poly_grad(items, n, z),
+                               name=name)
+
+
+def oracle_poly_value(items, z):
+    """sum of v * z^c over the (exponent tuple c, coefficient v) items."""
+    return sum(v * np.prod(z ** np.array(c)) for c, v in items)
+
+
+def oracle_poly_grad(items, n, z) -> np.ndarray:
+    """Complex gradient (d/dz_1 .. d/dz_n) of oracle_poly_value(items, z)."""
+    g = np.zeros(n, dtype=complex)
+    for c, v in items:
+        for a in range(n):
+            if c[a] == 0:
+                continue
+            cc = np.array(c)
+            cc[a] -= 1
+            g[a] += v * c[a] * np.prod(z ** cc)
+    return g
+
+
+def oracle_real_jacobian(f, p) -> np.ndarray:
+    g = f.grad(to_complex(p))
+    # rows d f1 = (Re g, -Im g) and d f2 = (Im g, Re g)
+    return np.concatenate([g.real, -g.imag, g.imag, g.real]).reshape(2, -1)
+
+
+def family_pairs(n, user_coeffs):
+    """(built-in, oracle) pairs: the default family and user polynomials."""
+    pairs = [(coordinate(n, a), oracle_coordinate(n, a)) for a in range(n)]
+    pairs += [(pair_sum(n, 0, 1), oracle_pair_sum(n, 0, 1))] if n > 1 else []
+    for a in range(n):
+        for b in range(a, n):
+            pairs.append((product(n, a, b), oracle_product(n, a, b)))
+            pairs.append((i_product(n, a, b),
+                          oracle_product(n, a, b, factor=1j)))
+    pairs += [(polynomial(n, c), oracle_polynomial(n, c))
+              for c in user_coeffs]
+    return pairs
+
+
+def bits(a):
+    """IEEE bit patterns (real and imaginary parts): equal bits, not ==."""
+    a = np.ascontiguousarray(a)
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a.astype(complex)).view(float)
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+COMPLEX = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+def user_polynomials(n):
+    exponents = st.tuples(*[st.integers(0, 4)] * n)
+    return st.lists(st.dictionaries(exponents, COMPLEX, min_size=0,
+                                    max_size=4), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2]), data=st.data(),
+       scales=st.lists(st.floats(-6.0, 3.0), min_size=8, max_size=8))
+def test_family_stacks_match_per_point_closures(n, data, scales):
+    user = data.draw(user_polynomials(n))
+    z = np.array(data.draw(st.lists(st.lists(COMPLEX, min_size=n,
+                                             max_size=n),
+                                    min_size=8, max_size=8)))
+    z = z * 10.0 ** np.array(scales)[:, None]
+    z[0] = 0.0
+    points = np.concatenate([z.real, z.imag], axis=1)
+    zs = to_complex(points)
+    for f, oracle in family_pairs(n, user):
+        want_v = np.array([oracle(to_complex(p)) for p in points])
+        want_j = np.stack([oracle_real_jacobian(oracle, p) for p in points])
+        values, jac = f._stack(zs)
+        assert np.array_equal(bits(values), bits(want_v)), f.name
+        assert np.array_equal(bits(jac), bits(want_j)), f.name
+        # one point at a time: a stack of one
+        assert np.array_equal(
+            bits(np.stack([f.real_jacobian(p) for p in points])),
+            bits(want_j)), f.name
+        assert np.array_equal(
+            bits(np.array([f(to_complex(p)) for p in points])),
+            bits(want_v)), f.name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**MESHES, scale=st.floats(0.2, 1.5), data=st.data())
+def test_first_overflow_or_pole_in_mixed_family_matches_oracle(
+        k, mesh_seed, map_seed, scale, data):
+    c, m, pm = random_setup(k, mesh_seed, map_seed, scale, "constant")
+    samples = oracle_samples_from_plmap(c, m, pm)
+    huge = data.draw(st.integers(0, len(samples) - 1))
+    pole = data.draw(st.integers(0, len(samples) - 1))
+    # at |z| ~ 1e160 the Jacobian 3 z^2 of the cubic and the value z^2 of
+    # the square overflow to inf; the user pole may share that sample
+    s = samples[huge]
+    samples[huge] = GradientSample(s.rows, s.metric, [1e160 + 1e160j],
+                                   s.location, s.weight)
+    family = data.draw(st.permutations([
+        coordinate(1, 0), pole_at(samples[pole].image[0], "user"),
+        polynomial(1, {(3,): 1.0, (1,): 2.0}, name="cubic"),
+        product(1, 0, 0)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PoleAtPoint) as want:
+            oracle_phwc_via_functions(samples, family)
+        with pytest.raises(PoleAtPoint) as got:
+            morphism.phwc_via_functions(samples, family)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("image", [[0.5 + 1j], [0.5 + 1j, -2.0 + 0.25j]])
+@pytest.mark.parametrize("family_n", [1, 2])
+def test_dimension_mismatch_in_family_matches_oracle(image, family_n):
+    # rows of a map into C^1; the image may have another dimension
+    rng = np.random.default_rng(7)
+    samples = [GradientSample(rng.standard_normal((2, 2)), np.eye(2), image,
+                              ("simplex", t)) for t in range(3)]
+    family = holomorphic_family(family_n)
+    try:
+        want = oracle_phwc_via_functions(samples, family)
+    except (DimensionMismatch, IndexError) as exc:
+        with pytest.raises(type(exc)) as got:
+            morphism.phwc_via_functions(samples, family)
+        assert str(got.value) == str(exc)
+    else:
+        got = morphism.phwc_via_functions(samples, family)
+        assert np.array_equal(got.raw, want.raw)

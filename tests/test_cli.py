@@ -319,6 +319,18 @@ def test_bad_input_file_is_usage_error(square_files, capsys, case):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("damping", [0, -0.5, 1.5])
+def test_config_damping_outside_unit_interval_is_usage_error(
+        square_files, capsys, damping):
+    # damping 0 used to be accepted and then leave every iterate unchanged
+    c, mesh, _, tmp = square_files
+    cfg = _write(tmp / "cfg.json", json.dumps({"damping": damping}))
+    code, out, err = run(capsys, "--config", cfg, "validate", mesh)
+    assert code == 64
+    assert out == ""
+    assert "damping must be in (0, 1]" in err
+
+
 @pytest.mark.parametrize("case", [
     "mesh_vertices_number", "mesh_vertices_ragged", "mesh_simplices_strings",
     "mesh_simplices_bools", "metric_per_simplex_number",

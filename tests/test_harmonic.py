@@ -4,7 +4,7 @@ import pytest
 from polyharm import meshes
 from polyharm.energy import dirichlet_energy
 from polyharm.errors import (MissingBoundaryValues, NonConvergence,
-                             NotAdmissible, PolyharmError)
+                             NotAdmissible, PolyharmError, UsageError)
 from polyharm.harmonic import (SolveOptions, assemble_stiffness,
                                christoffel_load, discrete_maximum_principle,
                                solve_harmonic_function, solve_harmonic_map,
@@ -281,6 +281,27 @@ def test_nonconvergence_carries_history():
 def test_solve_options_refuse_an_empty_iteration_budget(max_iter):
     with pytest.raises(PolyharmError, match="max_iter must be at least 1"):
         SolveOptions(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("damping", 0.0), ("damping", -0.5), ("damping", float("nan")),
+    ("damping", 1.5), ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")),
+    ("tol", float("inf"))])
+def test_solve_options_refuse_a_tolerance_or_damping_that_cannot_converge(
+        field, value):
+    # a zero, negative or NaN tol or damping used to run out the budget
+    with pytest.raises(UsageError, match=f"{field} must be"):
+        SolveOptions(**{field: value})
+
+
+def test_full_damping_is_a_valid_option():
+    c, m = meshes.unit_square_mesh(3)
+    s = assemble_stiffness(c, m)
+    bv = square_boundary_values(c, lambda p: 0.3 * np.array(
+        [np.cos(2 * p[0]), np.sin(3 * p[1])]))
+    sol = solve_harmonic_map(s, fubini_study_cp1(), bv,
+                             SolveOptions(damping=1.0))
+    assert weak_harmonic_residual(s, fubini_study_cp1(), sol).inf <= 1e-8
 
 
 def test_christoffel_load_zero_for_flat():
